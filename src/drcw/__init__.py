@@ -30,7 +30,6 @@ from .design import (
     Provenance,
     RoundedSolution,
     design_bd,
-    design_by_method,
     design_nm_drcw,
     design_ptm,
     design_uniform,
@@ -41,9 +40,7 @@ from .nullspec import (
     ConstraintBasis,
     NullSpec,
     QuadraticForm,
-    annihilator_coeffs,
     constraint_basis,
-    division_remainder,
     max_null_violation,
     null_residuals,
     quadratic_form,
@@ -87,17 +84,14 @@ __all__ = [
     "WINDOW_KINDS",
     "WindowTemplate",
     "acf",
-    "annihilator_coeffs",
     "binomial_weights",
     "composite_ambiguity",
     "compute_metrics",
     "constraint_basis",
     "design_bd",
-    "design_by_method",
     "design_nm_drcw",
     "design_ptm",
     "design_uniform",
-    "division_remainder",
     "dmbr",
     "doppler_factor",
     "generate_golay_pair",

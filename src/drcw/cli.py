@@ -78,12 +78,6 @@ def _add_common(
         p.add_argument("--trials", type=int, default=1000, help="rounding trials (default 1000)")
         p.add_argument("--tol", type=float, default=1e-6, help="solver tolerance (default 1e-6)")
         p.add_argument("--max-iter", type=int, default=5000, help="solver iteration budget")
-        p.add_argument(
-            "--legacy-eq11",
-            action="store_true",
-            help="use the legacy quadratic null factor (1 - z cos t + z^2) "
-            "instead of the corrected (1 - 2 z cos t + z^2)",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -135,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="check invariants of a pair length or document")
     p_ver.add_argument("document", nargs="?", help="design document to verify")
     p_ver.add_argument("--golay", type=int, default=None, metavar="N", help="verify a generated pair")
-    p_ver.add_argument("--grid", type=int, default=None, help="override re-analysis grid")
     return parser
 
 
@@ -156,7 +149,6 @@ def _design_from_args(args) -> tuple:
             seed=args.seed,
             tol=args.tol,
             max_iter=args.max_iter,
-            legacy_quadratic=args.legacy_eq11,
             collect_solver_trace=bool(getattr(args, "trace", None)),
         )
     else:
@@ -196,7 +188,6 @@ def cmd_design(args) -> int:
         grid_points=args.grid,
         metrics=metrics,
         prsl_norm=args.prsl_norm,
-        legacy_quadratic=args.legacy_eq11,
     )
     doc_io.save_document(doc, args.out)
     prov = design.provenance
@@ -275,7 +266,6 @@ def _table_rows(args) -> list[dict]:
                 seed=args.seed,
                 tol=args.tol,
                 max_iter=args.max_iter,
-                legacy_quadratic=args.legacy_eq11,
             )
             metrics = compute_metrics(design, pair, grid, prsl_normalization=args.prsl_norm)
             rows.append(
@@ -327,7 +317,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _verify_document(path: str, grid_override: int | None) -> int:
+def _verify_document(path: str) -> int:
     doc = doc_io.load_document(path)
     failures = []
 
@@ -369,23 +359,22 @@ def _verify_document(path: str, grid_override: int | None) -> int:
             f"{obj:.6f} <= {bound:.6f}",
         )
 
-    grid = DopplerGrid.uniform(grid_override if grid_override else int(doc["grid"]))
-    if grid.size == int(doc["grid"]):
-        fresh = compute_metrics(
-            design, pair, grid, prsl_normalization=doc.get("prsl_norm", "global")
-        )
-        stored = doc_io.metrics_from_dict(doc["metrics"])
-        dev = max(
-            abs(fresh.dmbr - stored.dmbr),
-            abs(fresh.pdsl - stored.pdsl),
-            abs(fresh.nag - stored.nag),
-            float(np.max(np.abs(fresh.prsl_curve - stored.prsl_curve))),
-            max(
-                max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-                for a, b in zip(fresh.rsba, stored.rsba)
-            ),
-        )
-        check("re-analysis reproduces embedded metrics", dev <= 1e-9, f"max dev {dev:.3e}")
+    fresh = compute_metrics(
+        design, pair, DopplerGrid.uniform(int(doc["grid"])),
+        prsl_normalization=doc.get("prsl_norm", "global"),
+    )
+    stored = doc_io.metrics_from_dict(doc["metrics"])
+    dev = max(
+        abs(fresh.dmbr - stored.dmbr),
+        abs(fresh.pdsl - stored.pdsl),
+        abs(fresh.nag - stored.nag),
+        float(np.max(np.abs(fresh.prsl_curve - stored.prsl_curve))),
+        max(
+            max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+            for a, b in zip(fresh.rsba, stored.rsba)
+        ),
+    )
+    check("re-analysis reproduces embedded metrics", dev <= 1e-9, f"max dev {dev:.3e}")
     return 1 if failures else 0
 
 
@@ -401,7 +390,7 @@ def cmd_verify(args) -> int:
         if not report.ok:
             code = 1
     if args.document is not None:
-        code = max(code, _verify_document(args.document, args.grid))
+        code = max(code, _verify_document(args.document))
     return code
 
 

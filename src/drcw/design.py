@@ -5,7 +5,7 @@ The designed object is a length-M vector y whose polynomial carries the
 requested Doppler nulls, split as transmit order s = sign(y) and receive
 weights w = abs(y). The pipeline is
 
-    nulls -> annihilator -> orthonormal basis -> quadratic form
+    nulls -> orthonormal basis of the annihilator's multiples -> quadratic form
           -> SDP relaxation -> randomized rounding -> amplitude recovery,
 
 where rounding extracts a sign vector from the relaxation by Gaussian
@@ -28,17 +28,12 @@ from .nullspec import (
     ConstraintBasis,
     NullSpec,
     QuadraticForm,
-    annihilator_coeffs,
     constraint_basis,
     max_null_violation,
     quadratic_form,
 )
 from .sdp import SdpSolution, SolverFailure, solve_partition_sdp
-from .sequences import WindowTemplate, binomial_weights, ptm_order, window_template
-
-_LD = np.longdouble
-
-METHODS = ("nm_drcw", "ptm", "bd", "uniform")
+from .sequences import WindowTemplate, binomial_weights, ptm_order
 
 
 class DesignFailure(RuntimeError):
@@ -107,24 +102,14 @@ def round_solution(
     )
 
 
-def _back_solve(R: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = len(b)
-    x = np.zeros(n, dtype=R.dtype)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - R[i, i + 1 :] @ x[i + 1 :]) / R[i, i]
-    return x
-
-
 def recover_amplitudes(
     s_hat, basis: ConstraintBasis, window: WindowTemplate
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal in-subspace amplitudes for a fixed sign pattern.
 
     b_hat = alpha * A_bar^T Diag(w) s with alpha chosen so ||b_hat||^2 = M,
-    and y_hat = A_bar b_hat. The result is computed through the extended
-    precision factors so y_hat is exactly a convolution of the annihilator
-    with a free vector: its null structure holds far below the verification
-    tolerance even for ill-conditioned constraint matrices.
+    and y_hat = A_bar b_hat, the projection of Diag(w) s onto the
+    null-constrained subspace, rescaled to ||y_hat||^2 = M.
     """
     m = basis.m
     if window.m != m:
@@ -132,18 +117,17 @@ def recover_amplitudes(
     s = np.asarray(s_hat, dtype=float)
     if s.shape != (m,):
         raise ValueError(f"sign vector must have shape ({m},)")
-    t = basis.q_ld.T @ (window.values.astype(_LD) * s.astype(_LD))
-    nrm = float(np.sqrt(t @ t))
+    t = basis.a_bar.T @ (window.values * s)
+    nrm = float(np.linalg.norm(t))
     if nrm < 1e-12 * math.sqrt(m):
         raise DesignFailure(
             "window is numerically orthogonal to the signed constraint "
             "subspace; no amplitudes can be recovered"
         )
-    b_hat = (np.sqrt(_LD(m)) / nrm) * t
-    b_free = _back_solve(basis.r_ld, b_hat)
-    y = np.convolve(basis.a_ld, b_free)
-    y *= np.sqrt(_LD(m)) / np.sqrt(y @ y)
-    return b_hat.astype(float), y.astype(float)
+    b_hat = (math.sqrt(m) / nrm) * t
+    y = basis.a_bar @ b_hat
+    y *= math.sqrt(m) / np.linalg.norm(y)
+    return b_hat, y
 
 
 @dataclass(frozen=True)
@@ -181,12 +165,11 @@ def design_nm_drcw(
     seed: int = 0,
     tol: float = 1e-6,
     max_iter: int = 5000,
-    legacy_quadratic: bool = False,
     collect_solver_trace: bool = False,
 ) -> DesignResult:
     """Null-constrained transmit/receive design via relaxation and rounding.
 
-    Chains annihilator -> constraint basis -> quadratic form -> SDP ->
+    Chains constraint basis -> quadratic form -> SDP ->
     rounding -> amplitude recovery, then splits y into sign and magnitude.
     Raises SolverFailure when the relaxation does not converge and
     DesignFailure on degenerate amplitude recovery.
@@ -197,8 +180,7 @@ def design_nm_drcw(
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
-    coeffs = annihilator_coeffs(spec, legacy_quadratic=legacy_quadratic)
-    basis = constraint_basis(coeffs, m)
+    basis = constraint_basis(spec, m)
     form = quadratic_form(basis, window)
     solution = solve_partition_sdp(
         form, tol=tol, max_iter=max_iter, collect_trace=collect_solver_trace
@@ -224,7 +206,7 @@ def design_nm_drcw(
             seed=seed,
             trials=trials,
             rounded_objective=rounded.objective,
-            sdp_bound=solution.objective,
+            sdp_bound=solution.dual_bound,
             null_spec=spec,
             window_kind=window.kind,
             warnings=tuple(warnings),
@@ -309,26 +291,3 @@ def design_uniform(m: int) -> DesignResult:
             window_kind=None,
         ),
     )
-
-
-def design_by_method(
-    method: str,
-    m: int,
-    spec: NullSpec | None = None,
-    window: WindowTemplate | None = None,
-    **kwargs,
-) -> DesignResult:
-    """Dispatch helper used by the command-line front end."""
-    if method == "nm_drcw":
-        if spec is None:
-            raise ValueError("nm_drcw requires a null specification")
-        if window is None:
-            window = window_template("rectangular", m)
-        return design_nm_drcw(m, spec, window, **kwargs)
-    if method == "ptm":
-        return design_ptm(m)
-    if method == "bd":
-        return design_bd(m)
-    if method == "uniform":
-        return design_uniform(m)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

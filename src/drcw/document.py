@@ -2,7 +2,7 @@
 
 A design document is a versioned JSON record of everything needed to
 reproduce and re-verify a design: method, sizes, null specification,
-window, seed, the s/w arrays, the relaxation bound, and the computed
+window, seed, the s/w arrays, the certified relaxation bound, and the computed
 metrics. Serialization is deterministic (sorted keys, repr floats) so
 identical runs produce byte-identical files.
 
@@ -68,7 +68,6 @@ def build_document(
     grid_points: int,
     metrics: MetricsReport,
     prsl_norm: str = "global",
-    legacy_quadratic: bool = False,
 ) -> dict:
     prov = design.provenance
     return {
@@ -85,7 +84,6 @@ def build_document(
         "trials": prov.trials,
         "grid": int(grid_points),
         "prsl_norm": prsl_norm,
-        "legacy_quadratic": bool(legacy_quadratic),
         "s": [int(v) for v in design.transmit_order],
         "w": [float(v) for v in design.weights],
         "objective": None if prov.rounded_objective is None else float(prov.rounded_objective),

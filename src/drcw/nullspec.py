@@ -6,27 +6,25 @@ Equivalently, the polynomial y(z) must be divisible by the annihilator
 
     a(z) = (1 - z)^k0 * prod_i (1 - 2 z cos(theta_i) + z^2)^k_i,
 
-so y = a (x) b for some free coefficient vector b. The convolution matrix A,
-its orthonormal column basis A_bar, and the weighted quadratic form
+so y = a (x) b for some free coefficient vector b. An orthonormal basis
+A_bar of that subspace and the weighted quadratic form
 Diag(w) A_bar A_bar^T Diag(w) are what the waveform optimizer consumes.
 
-The convolution matrix can be very ill conditioned at high null orders
-(kappa ~ 1e10 at m = 50), which would leave float64-built bases with null
-violations near the verification tolerance. The basis is therefore built in
-extended precision (numpy longdouble) and rounded to float64 only at the
-public surface; the longdouble factors are kept for amplitude recovery.
+The full convolution matrix is very ill conditioned at high null orders
+(kappa ~ 1e10 at m = 50), so A_bar is never taken from it. It is built in
+float64 one factor of a(z) at a time: each (1 - z) or quadratic factor is
+convolved into the current orthonormal basis, which is then
+re-orthonormalized by QR.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .sequences import WindowTemplate
-
-_LD = np.longdouble
 
 
 @dataclass(frozen=True)
@@ -69,98 +67,46 @@ class NullSpec:
             )
 
 
-def annihilator_coeffs(spec: NullSpec, legacy_quadratic: bool = False) -> np.ndarray:
-    """Coefficients of the annihilating polynomial, ascending powers.
-
-    The quadratic factor for a null at theta is (1 - 2 z cos(theta) + z^2),
-    whose roots are exactly e^{+/- j theta}. With ``legacy_quadratic`` the
-    factor (1 - z cos(theta) + z^2) is used instead; its roots sit at
-    arccos(cos(theta)/2) rather than theta, so it is kept only for
-    compatibility studies.
-
-    Returns a longdouble array of length K+1 (exact integers when there are
-    no theta nulls).
-    """
-    a = np.array([1], dtype=_LD)
-    step = np.array([1, -1], dtype=_LD)
+def _factors(spec: NullSpec):
+    """The annihilator's factors in application order: (1 - z) k0 times,
+    then (1 - 2 z cos(theta_i) + z^2) k_i times per null in spec order."""
     for _ in range(spec.k0):
-        a = np.convolve(a, step)
+        yield (1.0, -1.0)
     for theta, k in spec.nulls:
-        c = np.cos(_LD(theta))
-        factor = np.array([1, -c if legacy_quadratic else -2 * c, 1], dtype=_LD)
         for _ in range(k):
-            a = np.convolve(a, factor)
-    return a
-
-
-def _mgs(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Modified Gram-Schmidt with one reorthogonalization pass; A = Q R."""
-    m, n = A.shape
-    Q = np.zeros((m, n), dtype=A.dtype)
-    R = np.zeros((n, n), dtype=A.dtype)
-    for j in range(n):
-        v = A[:, j].copy()
-        for _ in range(2):
-            for i in range(j):
-                c = Q[:, i] @ v
-                R[i, j] += c
-                v -= c * Q[:, i]
-        nrm = np.sqrt(v @ v)
-        if nrm == 0:
-            raise ValueError("convolution matrix is numerically rank deficient")
-        R[j, j] = nrm
-        Q[:, j] = v / nrm
-    return Q, R
+            yield (1.0, -2.0 * math.cos(theta), 1.0)
 
 
 @dataclass(frozen=True)
 class ConstraintBasis:
-    """Convolution matrix A, orthonormal basis A_bar for its range, and the
-    extended-precision factors used for exact-subspace amplitude recovery."""
+    """Orthonormal basis A_bar (m x (m-K)) of the null-constrained subspace
+    {a (x) b}, with K the total null order."""
 
-    a: np.ndarray
-    A: np.ndarray
     a_bar: np.ndarray
     m: int
-    a_ld: np.ndarray = field(repr=False)
-    q_ld: np.ndarray = field(repr=False)
-    r_ld: np.ndarray = field(repr=False)
-
-    @property
-    def order(self) -> int:
-        """Total null order K (number of constrained degrees of freedom)."""
-        return self.m - self.A.shape[1]
+    order: int
 
 
-def constraint_basis(a, m: int) -> ConstraintBasis:
-    """Build the m x (m-K) convolution matrix for ``a`` and orthonormalize it.
+def constraint_basis(spec: NullSpec, m: int) -> ConstraintBasis:
+    """Orthonormal basis of {a (x) b : b in R^(m-K)} for the annihilator a of
+    ``spec``, built one factor at a time from the identity on R^(m-K).
 
-    A b equals the linear convolution a (x) b for every b. Raises when the
-    null order K = len(a)-1 exceeds m-1, which would leave no free
-    coefficients.
+    Raises when K > m-1, which would leave no free coefficients.
     """
-    a_ld = np.asarray(a, dtype=_LD)
-    if a_ld.ndim != 1 or a_ld.size == 0:
-        raise ValueError("coefficient sequence must be a nonempty 1-D array")
-    K = len(a_ld) - 1
+    K = spec.total_order
     if K >= m:
         raise ValueError(
             f"null order K={K} with m={m} pulses violates K <= M-1; "
             "reduce the requested null orders"
         )
-    A_ld = np.zeros((m, m - K), dtype=_LD)
-    for j in range(m - K):
-        A_ld[j : j + K + 1, j] = a_ld
-    q_ld, r_ld = _mgs(A_ld)
-    return ConstraintBasis(
-        a=a_ld.astype(float),
-        A=A_ld.astype(float),
-        a_bar=q_ld.astype(float),
-        m=m,
-        a_ld=a_ld,
-        q_ld=q_ld,
-        r_ld=r_ld,
-    )
+    q = np.eye(m - K)
+    for factor in _factors(spec):
+        rows = q.shape[0]
+        conv = np.zeros((rows + len(factor) - 1, q.shape[1]))
+        for i, c in enumerate(factor):
+            conv[i : i + rows] += c * q
+        q, _ = np.linalg.qr(conv)
+    return ConstraintBasis(a_bar=q, m=m, order=K)
 
 
 @dataclass(frozen=True)
@@ -208,29 +154,3 @@ def max_null_violation(y, spec: NullSpec) -> float:
     """Worst scaled moment residual; compare against 1e-8 * len(y)."""
     res = null_residuals(y, spec)
     return float(res.max()) if res.size else 0.0
-
-
-def division_remainder(y, spec: NullSpec, legacy_quadratic: bool = False) -> np.ndarray:
-    """Minimum-norm remainder of y modulo the annihilator polynomial.
-
-    Computed as the component of y orthogonal to the annihilator's
-    convolution subspace, with the subspace basis built independently in
-    extended precision. Naive long division is meaningless here: dividing by
-    a polynomial with unit-circle roots of high multiplicity amplifies
-    float noise by the inverse-filter growth (1e12 at order 40), so even an
-    exactly divisible y would report a garbage remainder.
-    """
-    y = np.asarray(y, dtype=_LD)
-    a = annihilator_coeffs(spec, legacy_quadratic=legacy_quadratic)
-    K = len(a) - 1
-    m = len(y)
-    if K == 0:
-        return np.zeros(m)
-    if K > m - 1:
-        raise ValueError("null order exceeds sequence length budget")
-    A_ld = np.zeros((m, m - K), dtype=_LD)
-    for j in range(m - K):
-        A_ld[j : j + K + 1, j] = a
-    q, _ = _mgs(A_ld)
-    rem = y - q @ (q.T @ y)
-    return rem.astype(float)

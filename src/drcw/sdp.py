@@ -125,9 +125,6 @@ def solve_partition_sdp(
     pobj = 0.0
     dobj = float(np.sum(y))
 
-    def primal(Zinv: np.ndarray) -> np.ndarray:
-        return Zinv / t
-
     exhausted = False
     for _stage in range(120):
         # Newton centering at the current t
@@ -152,17 +149,19 @@ def solve_partition_sdp(
                 step = 0.0
             y = y + step * dy
             iterations += 1
-            if collect_trace or iterations >= max_iter or decrement2 < 1e-9:
-                Z = np.diag(y) - An
-                Zinv = np.linalg.inv(Z)
-                X = primal(Zinv)
-                pobj = float(np.sum(An * X))
-                dobj = float(np.sum(y))
-                gap = dobj - pobj
+            done = decrement2 < 1e-9 or iterations >= max_iter
+            if collect_trace or done:
+                # the trace only observes: its values reach the iterate state
+                # (and so the stopping test) only where an untraced solve
+                # would compute them too
+                X_i = np.linalg.inv(np.diag(y) - An) / t
+                pobj_i = float(np.sum(An * X_i))
+                dobj_i = float(np.sum(y))
                 if collect_trace:
-                    diag_res = float(np.max(np.abs(np.diag(X) - 1.0)))
-                    trace_rows.append((iterations, pobj * norm, gap * norm, diag_res))
-            if decrement2 < 1e-9 or iterations >= max_iter:
+                    diag_res = float(np.max(np.abs(np.diag(X_i) - 1.0)))
+                    trace_rows.append((iterations, pobj_i * norm, (dobj_i - pobj_i) * norm, diag_res))
+            if done:
+                X, pobj, dobj, gap = X_i, pobj_i, dobj_i, dobj_i - pobj_i
                 break
         if gap <= 0.5 * tol * max(scale, abs(pobj)):
             break

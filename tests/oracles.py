@@ -2,11 +2,14 @@
 
 Everything here is written the slow, obvious way on purpose: plain Python
 loops and exhaustive enumeration, sharing no code path with the package.
+The null-order oracles work in mpmath at a precision set from the problem
+size, so float64 conditioning never enters them.
 """
 
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 
@@ -80,3 +83,102 @@ def gram_schmidt_columns(a):
         v /= np.linalg.norm(v)
         cols.append(v)
     return np.column_stack(cols)
+
+
+def _mp_convolve(a, b):
+    out = [mpmath.mpf(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return out
+
+
+def _digits(k0, nulls, m):
+    """Working precision for size-m problems of null order K. The Gram
+    matrix of the convolution matrix has condition number up to about
+    4^K m^(2K); this covers that with 30 digits to spare."""
+    order = k0 + 2 * sum(k for _, k in nulls)
+    return 30 + int(order * (2 * math.log10(max(m, 2)) + 1))
+
+
+def annihilator(k0, nulls=()):
+    """Ascending mpmath coefficients of (1 - z)^k0 prod (1 - 2 z cos t + z^2)^k,
+    at the current mpmath precision."""
+    a = [mpmath.mpf(1)]
+    for _ in range(k0):
+        a = _mp_convolve(a, [1, -1])
+    for theta, k in nulls:
+        c = mpmath.cos(mpmath.mpf(float(theta)))
+        for _ in range(k):
+            a = _mp_convolve(a, [1, -2 * c, 1])
+    return a
+
+
+def convolution_matrix(k0, nulls, m):
+    """The m x (m-K) float64 matrix A with A b = annihilator (x) b."""
+    with mpmath.workdps(_digits(k0, nulls, m)):
+        a = [float(c) for c in annihilator(k0, nulls)]
+    K = len(a) - 1
+    A = np.zeros((m, m - K))
+    for j in range(m - K):
+        A[j : j + K + 1, j] = a
+    return A
+
+
+def division_remainder(y, k0, nulls=()):
+    """Minimum-norm remainder of y modulo the annihilator: y minus its
+    orthogonal projection onto {annihilator (x) b}, as float64.
+
+    Solves the banded normal equations (A^T A) x = A^T y by a banded
+    Cholesky factorization in mpmath and returns y - A x. Naive long
+    division would be meaningless: dividing by a polynomial with
+    high-multiplicity unit-circle roots amplifies any rounding in y by the
+    inverse filter's growth.
+    """
+    m = len(y)
+    with mpmath.workdps(_digits(k0, nulls, m)):
+        a = annihilator(k0, nulls)
+        K = len(a) - 1
+        if K > m - 1:
+            raise ValueError("null order exceeds sequence length budget")
+        if K == 0:
+            return np.zeros(m)
+        y = [mpmath.mpf(float(v)) for v in y]
+        n = m - K
+        # A^T A is banded Toeplitz: entry (i, j) is r[|i - j|], zero beyond K
+        r = [sum(a[l] * a[l + d] for l in range(K + 1 - d)) for d in range(K + 1)]
+        rhs = [sum(a[l] * y[j + l] for l in range(K + 1)) for j in range(n)]
+        # lower Cholesky factor, L[i][d] = L(i, i - d) for d <= K
+        L = [[mpmath.mpf(0)] * (K + 1) for _ in range(n)]
+        for i in range(n):
+            for d in range(min(i, K), 0, -1):
+                j = i - d
+                acc = r[d] - sum(L[i][d + t] * L[j][t] for t in range(1, min(j, K - d) + 1))
+                L[i][d] = acc / L[j][0]
+            L[i][0] = mpmath.sqrt(r[0] - sum(L[i][t] ** 2 for t in range(1, min(i, K) + 1)))
+        z = [mpmath.mpf(0)] * n
+        for i in range(n):
+            acc = rhs[i] - sum(L[i][d] * z[i - d] for d in range(1, min(i, K) + 1))
+            z[i] = acc / L[i][0]
+        x = [mpmath.mpf(0)] * n
+        for i in range(n - 1, -1, -1):
+            acc = z[i] - sum(L[i + d][d] * x[i + d] for d in range(1, min(n - 1 - i, K) + 1))
+            x[i] = acc / L[i][0]
+        ax = _mp_convolve(a, x)
+        return np.array([float(yi - axi) for yi, axi in zip(y, ax)])
+
+
+def null_moments(y, k0, nulls=()):
+    """Scaled null moments |sum_n (n/m)^p y_n e^{j theta n}| in mpmath: order
+    p < k0 at theta = 0 and p < k at each (theta, k)."""
+    m = len(y)
+    with mpmath.workdps(50):
+        y = [mpmath.mpf(float(v)) for v in y]
+        scaled = [mpmath.mpf(n) / m for n in range(m)]
+        out = []
+        for theta, k in [(0.0, k0)] + list(nulls):
+            carrier = [mpmath.expj(mpmath.mpf(float(theta)) * n) for n in range(m)]
+            for p in range(k):
+                total = mpmath.fsum(s**p * yn * c for s, yn, c in zip(scaled, y, carrier))
+                out.append(float(abs(total)))
+        return np.array(out)

@@ -95,16 +95,6 @@ class TestDesignCommand:
         assert float(last[2]) >= 0.0
         assert float(last[3]) >= 0.0
 
-    def test_legacy_quadratic_flag(self, tmp_path):
-        out = tmp_path / "d.json"
-        code = run_cli(
-            "design", "nm", "--m", "12", "--n", "8", "--null", "0.5pi:1",
-            "--trials", "20", "--grid", "128", "--legacy-eq11", "-o", str(out),
-        )
-        assert code == 0
-        doc = json.loads(out.read_text())
-        assert doc["legacy_quadratic"] is True
-
     def test_solver_budget_exhaustion_exit_code(self, capsys):
         code = run_cli(
             "design", "nm", "--m", "16", "--n", "8", "--k0", "4",
@@ -221,6 +211,17 @@ class TestVerifyCommand:
         out.write_text(json.dumps(doc))
         assert run_cli("verify", str(out)) == 1
         assert "FAIL: null orders" in capsys.readouterr().out
+
+    def test_tampered_metric_fails_reanalysis(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        run_cli("design", "bd", "--m", "10", "--n", "8", "--grid", "128", "-o", str(out))
+        doc = json.loads(out.read_text())
+        doc["metrics"]["nag"] += 1.0
+        out.write_text(json.dumps(doc))
+        assert run_cli("verify", str(out)) == 1
+        assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
+        # no option skips the re-analysis
+        assert run_cli("verify", str(out), "--grid", "64") == 2
 
     def test_bd_document_divisible_by_full_order(self, tmp_path, capsys):
         out = tmp_path / "bd.json"

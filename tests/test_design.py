@@ -6,7 +6,6 @@ import pytest
 from drcw.design import (
     DesignFailure,
     design_bd,
-    design_by_method,
     design_nm_drcw,
     design_ptm,
     design_uniform,
@@ -15,18 +14,22 @@ from drcw.design import (
 )
 from drcw.nullspec import (
     NullSpec,
-    annihilator_coeffs,
     constraint_basis,
     max_null_violation,
     quadratic_form,
 )
 from drcw.sdp import solve_partition_sdp
 from drcw.sequences import window_template
-from oracles import brute_force_partition_max
+from oracles import (
+    brute_force_partition_max,
+    convolution_matrix,
+    division_remainder,
+    null_moments,
+)
 
 
 def make_form(m, k0, kind="hamming"):
-    basis = constraint_basis(annihilator_coeffs(NullSpec(k0=k0)), m)
+    basis = constraint_basis(NullSpec(k0=k0), m)
     return basis, quadratic_form(basis, window_template(kind, m))
 
 
@@ -86,7 +89,7 @@ class TestRoundSolution:
 
 class TestRecoverAmplitudes:
     def test_identity_basis_reproduces_signs(self):
-        basis = constraint_basis([1.0], 5)
+        basis = constraint_basis(NullSpec(k0=0), 5)
         window = window_template("rectangular", 5)
         s = np.array([1, -1, 1, 1, -1])
         b_hat, y = recover_amplitudes(s, basis, window)
@@ -96,7 +99,7 @@ class TestRecoverAmplitudes:
     def test_energy_is_always_m(self):
         rng = np.random.default_rng(3)
         for m, k0 in ((6, 2), (20, 7), (50, 20)):
-            basis = constraint_basis(annihilator_coeffs(NullSpec(k0=k0)), m)
+            basis = constraint_basis(NullSpec(k0=k0), m)
             window = window_template("hamming", m)
             s = np.where(rng.standard_normal(m) >= 0, 1, -1)
             _, y = recover_amplitudes(s, basis, window)
@@ -104,22 +107,31 @@ class TestRecoverAmplitudes:
 
     def test_matches_least_squares_oracle(self):
         # project Diag(w) s onto span(A), renormalize: same y up to sign
-        basis = constraint_basis([1.0, -1.0], 3)
+        basis = constraint_basis(NullSpec(k0=1), 3)
         window = window_template("rectangular", 3)
         s = np.array([1, -1, 1])
         _, y = recover_amplitudes(s, basis, window)
-        coeffs, *_ = np.linalg.lstsq(basis.A, window.values * s, rcond=None)
-        y_ls = basis.A @ coeffs
+        A = convolution_matrix(1, (), 3)
+        coeffs, *_ = np.linalg.lstsq(A, window.values * s, rcond=None)
+        y_ls = A @ coeffs
         y_ls *= math.sqrt(3) / np.linalg.norm(y_ls)
         assert np.allclose(y, y_ls, atol=1e-10)
 
     def test_degenerate_window_fails(self):
         # span(A) for (1-z) over m=2 is the difference direction; a constant
         # sign vector under a rectangular window is orthogonal to it
-        basis = constraint_basis([1.0, -1.0], 2)
+        basis = constraint_basis(NullSpec(k0=1), 2)
         window = window_template("rectangular", 2)
         with pytest.raises(DesignFailure, match="orthogonal"):
             recover_amplitudes(np.array([1, 1]), basis, window)
+
+    def test_large_m_null_moments_by_mpmath(self):
+        m, spec = 512, NullSpec(k0=4, nulls=((0.5 * math.pi, 1), (0.8 * math.pi, 1)))
+        basis = constraint_basis(spec, m)
+        s = np.where(np.random.default_rng(11).standard_normal(m) >= 0, 1, -1)
+        _, y = recover_amplitudes(s, basis, window_template("hamming", m))
+        assert float(np.sum(y * y)) == pytest.approx(m, abs=1e-8 * m)
+        assert float(null_moments(y, spec.k0, spec.nulls).max()) <= 1e-8 * m
 
 
 class TestDesignNmDrcw:
@@ -136,6 +148,12 @@ class TestDesignNmDrcw:
         scale = max(1.0, abs(prov.sdp_bound))
         assert prov.rounded_objective <= prov.sdp_bound + 1e-6 * scale
         assert max_null_violation(y, spec) <= 1e-8 * 24
+
+    def test_sdp_bound_is_certified_dual_bound(self):
+        m, spec, window = 20, NullSpec(k0=5), window_template("hamming", 20)
+        result = design_nm_drcw(m, spec, window, trials=100, seed=0)
+        solution = solve_partition_sdp(quadratic_form(constraint_basis(spec, m), window))
+        assert result.provenance.sdp_bound == solution.dual_bound
 
     def test_rect_nag_near_zero_at_k0_10(self):
         # with a rectangular template and a mild null the weights stay
@@ -212,16 +230,25 @@ class TestBaselines:
         assert design_uniform(4).transmit_order.tolist() == [1, -1, 1, -1]
         assert design_bd(5).transmit_order.tolist() == [1, -1, 1, -1, 1]
 
-    def test_dispatch(self):
-        assert design_by_method("ptm", 8).method == "ptm"
-        assert design_by_method("bd", 8).method == "bd"
-        assert design_by_method("uniform", 8).method == "uniform"
-        result = design_by_method(
-            "nm_drcw", 12, spec=NullSpec(k0=2), window=window_template("hamming", 12),
-            trials=50, seed=0,
-        )
-        assert result.method == "nm_drcw"
-        with pytest.raises(ValueError, match="unknown method"):
-            design_by_method("magic", 8)
-        with pytest.raises(ValueError, match="null specification"):
-            design_by_method("nm_drcw", 8)
+
+class TestLargeNullOrders:
+    """Null orders at sizes where an ill-conditioned basis loses the nulls."""
+
+    @pytest.mark.parametrize(
+        "m,spec",
+        [
+            (38, NullSpec(k0=29, nulls=((1.246, 4),))),
+            (80, NullSpec(k0=20)),
+            (80, NullSpec(k0=30)),
+            (100, NullSpec(k0=30)),
+            (128, NullSpec(k0=40)),
+            (128, NullSpec(k0=60)),
+            (192, NullSpec(k0=12)),
+            (256, NullSpec(k0=12)),
+            (512, NullSpec(k0=10)),
+        ],
+    )
+    def test_design_is_divisible(self, m, spec):
+        result = design_nm_drcw(m, spec, window_template("hamming", m), trials=200, seed=0)
+        rem = division_remainder(result.y, spec.k0, spec.nulls)
+        assert float(np.max(np.abs(rem))) <= 1e-8 * m

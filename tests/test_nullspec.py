@@ -7,15 +7,19 @@ from hypothesis import strategies as st
 
 from drcw.nullspec import (
     NullSpec,
-    annihilator_coeffs,
     constraint_basis,
-    division_remainder,
     max_null_violation,
     null_residuals,
     quadratic_form,
 )
 from drcw.sequences import window_template
-from oracles import convolve_direct, gram_schmidt_columns
+from oracles import (
+    annihilator,
+    convolution_matrix,
+    convolve_direct,
+    division_remainder,
+    gram_schmidt_columns,
+)
 
 
 class TestNullSpec:
@@ -44,61 +48,62 @@ class TestNullSpec:
 
 
 class TestAnnihilatorCoeffs:
+    """The oracle annihilator that the divisibility checks divide by."""
+
     def test_first_order_zero_null(self):
-        a = annihilator_coeffs(NullSpec(k0=1))
-        assert a.astype(float).tolist() == [1.0, -1.0]
+        assert [float(c) for c in annihilator(1)] == [1.0, -1.0]
 
     def test_second_order_zero_null(self):
-        a = annihilator_coeffs(NullSpec(k0=2))
-        assert a.astype(float).tolist() == [1.0, -2.0, 1.0]
+        assert [float(c) for c in annihilator(2)] == [1.0, -2.0, 1.0]
 
     def test_quarter_turn_null(self):
-        a = annihilator_coeffs(NullSpec(k0=0, nulls=((math.pi / 2, 1),)))
-        assert np.allclose(a.astype(float), [1.0, 0.0, 1.0], atol=1e-15)
+        a = [float(c) for c in annihilator(0, ((math.pi / 2, 1),))]
+        assert np.allclose(a, [1.0, 0.0, 1.0], atol=1e-15)
 
     def test_third_turn_null(self):
-        a = annihilator_coeffs(NullSpec(k0=0, nulls=((2 * math.pi / 3, 1),)))
-        assert np.allclose(a.astype(float), [1.0, 1.0, 1.0], atol=1e-15)
+        a = [float(c) for c in annihilator(0, ((2 * math.pi / 3, 1),))]
+        assert np.allclose(a, [1.0, 1.0, 1.0], atol=1e-15)
 
     def test_roots_land_on_requested_angles(self):
         theta = 0.37 * math.pi
-        a = annihilator_coeffs(NullSpec(k0=1, nulls=((theta, 2),))).astype(float)
+        a = np.array([float(c) for c in annihilator(1, ((theta, 2),))])
         roots = np.roots(a[::-1])
         angles = sorted(abs(np.angle(r)) for r in roots)
         assert angles[0] == pytest.approx(0.0, abs=1e-7)
         for got in angles[1:]:
             assert got == pytest.approx(theta, abs=1e-7)
 
-    def test_legacy_quadratic_form(self):
-        theta = 0.3 * math.pi
-        a = annihilator_coeffs(NullSpec(k0=0, nulls=((theta, 1),)), legacy_quadratic=True)
-        assert np.allclose(a.astype(float), [1.0, -math.cos(theta), 1.0], atol=1e-15)
-        # the legacy factor's roots do not sit at the requested angle
-        roots = np.roots(a.astype(float)[::-1])
-        assert abs(abs(np.angle(roots[0])) - theta) > 0.01
+
+def _projector(q):
+    return q @ q.T
 
 
 class TestConstraintBasis:
     def test_first_difference_matrix(self):
-        basis = constraint_basis([1.0, -1.0], 3)
-        assert np.array_equal(basis.A, [[1, 0], [-1, 1], [0, -1]])
+        A = convolution_matrix(1, (), 3)
+        assert np.array_equal(A, [[1, 0], [-1, 1], [0, -1]])
+        basis = constraint_basis(NullSpec(k0=1), 3)
         assert basis.order == 1
+        assert basis.a_bar.shape == (3, 2)
+        assert np.allclose(_projector(basis.a_bar), _projector(gram_schmidt_columns(A)), atol=1e-15)
 
     def test_identity_case(self):
-        basis = constraint_basis([1.0], 4)
-        assert np.array_equal(basis.A, np.eye(4))
+        basis = constraint_basis(NullSpec(k0=0), 4)
         assert np.array_equal(basis.a_bar, np.eye(4))
+        assert basis.order == 0
 
     def test_matrix_performs_convolution(self):
-        basis = constraint_basis([1.0, -2.0, 1.0], 5)
+        A = convolution_matrix(2, (), 5)
         b = np.array([1.0, 1.0, 1.0])
         expected = convolve_direct([1.0, -2.0, 1.0], b)
-        assert np.allclose(basis.A @ b, expected, atol=1e-15)
+        assert np.allclose(A @ b, expected, atol=1e-15)
         assert expected.tolist() == [1.0, -1.0, 0.0, -1.0, 1.0]
+        q = constraint_basis(NullSpec(k0=2), 5).a_bar
+        assert np.allclose(q @ (q.T @ expected), expected, atol=1e-14)
 
     def test_rejects_order_overflow(self):
         with pytest.raises(ValueError, match="K <= M-1"):
-            constraint_basis(annihilator_coeffs(NullSpec(k0=5)), 5)
+            constraint_basis(NullSpec(k0=5), 5)
 
     @pytest.mark.parametrize(
         "spec,m",
@@ -107,22 +112,26 @@ class TestConstraintBasis:
             (NullSpec(k0=20), 50),
             (NullSpec(k0=40), 50),
             (NullSpec(k0=20, nulls=((0.8 * math.pi, 4),)), 50),
+            (NullSpec(k0=29, nulls=((1.246, 4),)), 38),
+            (NullSpec(k0=30), 100),
         ],
     )
     def test_orthonormal_and_same_span(self, spec, m):
-        basis = constraint_basis(annihilator_coeffs(spec), m)
+        basis = constraint_basis(spec, m)
         q = basis.a_bar
+        assert q.shape == (m, m - spec.total_order)
         gram = q.T @ q
         assert np.max(np.abs(gram - np.eye(q.shape[1]))) <= 1e-10
         # every column of A projects onto span(a_bar) with tiny residual
-        proj = q @ (q.T @ basis.A)
-        resid = np.linalg.norm(basis.A - proj, axis=0) / np.linalg.norm(basis.A, axis=0)
+        A = convolution_matrix(spec.k0, spec.nulls, m)
+        proj = q @ (q.T @ A)
+        resid = np.linalg.norm(A - proj, axis=0) / np.linalg.norm(A, axis=0)
         assert float(resid.max()) <= 1e-10
 
 
 class TestQuadraticForm:
     def test_rectangular_gives_projector(self):
-        basis = constraint_basis(annihilator_coeffs(NullSpec(k0=4)), 12)
+        basis = constraint_basis(NullSpec(k0=4), 12)
         form = quadratic_form(basis, window_template("rectangular", 12))
         at = form.a_tilde
         assert np.max(np.abs(at - at.T)) <= 1e-12
@@ -131,7 +140,7 @@ class TestQuadraticForm:
 
     def test_hamming_composition_matches_oracle(self):
         # compose Diag(w) Q Q^T Diag(w) from an independent orthonormalization
-        basis = constraint_basis([1.0, -1.0], 3)
+        basis = constraint_basis(NullSpec(k0=1), 3)
         window = window_template("hamming", 3)
         form = quadratic_form(basis, window)
         q = gram_schmidt_columns(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
@@ -140,7 +149,7 @@ class TestQuadraticForm:
         assert np.allclose(form.a_tilde, expected, atol=1e-12)
 
     def test_psd_and_rank(self):
-        basis = constraint_basis(annihilator_coeffs(NullSpec(k0=10)), 30)
+        basis = constraint_basis(NullSpec(k0=10), 30)
         form = quadratic_form(basis, window_template("hamming", 30))
         eig = np.linalg.eigvalsh(form.a_tilde)
         assert eig[0] >= -1e-10 * abs(eig[-1])
@@ -148,7 +157,7 @@ class TestQuadraticForm:
         assert nonzero == 30 - 10
 
     def test_dimension_mismatch(self):
-        basis = constraint_basis([1.0, -1.0], 3)
+        basis = constraint_basis(NullSpec(k0=1), 3)
         with pytest.raises(ValueError, match="does not match"):
             quadratic_form(basis, window_template("hamming", 4))
 
@@ -173,9 +182,8 @@ class TestNullResiduals:
         spec = NullSpec(k0=k0, nulls=nulls)
         if spec.total_order > m - 1 or spec.total_order == 0:
             return
-        basis = constraint_basis(annihilator_coeffs(spec), m)
-        b = rng.standard_normal(m - spec.total_order)
-        y = basis.A @ b
+        A = convolution_matrix(spec.k0, spec.nulls, m)
+        y = A @ rng.standard_normal(m - spec.total_order)
         assert max_null_violation(y, spec) <= 1e-8 * m
 
     def test_residual_count(self):
@@ -190,20 +198,19 @@ class TestNullResiduals:
 
 
 class TestDivisionRemainder:
+    """The oracle remainder that the divisibility checks compare against."""
+
     def test_exact_multiple_has_tiny_remainder(self):
-        spec = NullSpec(k0=20)
-        basis = constraint_basis(annihilator_coeffs(spec), 50)
         rng = np.random.default_rng(5)
-        y = basis.A @ rng.standard_normal(30)
+        y = convolution_matrix(20, (), 50) @ rng.standard_normal(30)
         y *= math.sqrt(50) / np.linalg.norm(y)
-        rem = division_remainder(y, spec)
+        rem = division_remainder(y, 20)
         assert np.max(np.abs(rem)) <= 1e-8 * 50
 
     def test_non_multiple_has_large_remainder(self):
-        spec = NullSpec(k0=2)
-        rem = division_remainder(np.ones(10), spec)
+        rem = division_remainder(np.ones(10), 2)
         assert np.max(np.abs(rem)) > 0.1
 
     def test_zero_order_spec(self):
-        rem = division_remainder(np.ones(6), NullSpec(k0=0))
+        rem = division_remainder(np.ones(6), 0)
         assert np.array_equal(rem, np.zeros(6))

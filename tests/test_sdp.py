@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drcw.nullspec import NullSpec, annihilator_coeffs, constraint_basis, quadratic_form
+from drcw.nullspec import NullSpec, constraint_basis, quadratic_form
 from drcw.sdp import solve_partition_sdp
 from drcw.sequences import window_template
 from oracles import brute_force_partition_max
@@ -12,7 +12,7 @@ def random_instance(rng, m):
     k0 = int(rng.integers(1, m - 1))
     spec = NullSpec(k0=k0)
     kind = ("rectangular", "hamming", "hanning", "blackman")[int(rng.integers(0, 4))]
-    basis = constraint_basis(annihilator_coeffs(spec), m)
+    basis = constraint_basis(spec, m)
     return quadratic_form(basis, window_template(kind, m))
 
 
@@ -117,6 +117,20 @@ class TestErrorHandling:
         sol = solve_partition_sdp(np.ones((3, 3)), collect_trace=True)
         assert len(sol.trace) == sol.iterations
         assert sol.trace[-1][0] == sol.iterations
+
+    def test_trace_only_observes(self):
+        # a solve whose centering loop runs out of steps before the gap
+        # closes; fresh gaps taken for the trace must not reach the
+        # stopping test
+        form = quadratic_form(
+            constraint_basis(NullSpec(k0=34), 128), window_template("hamming", 128)
+        )
+        plain = solve_partition_sdp(form)
+        traced = solve_partition_sdp(form, collect_trace=True)
+        assert traced.iterations == plain.iterations
+        assert traced.s_matrix.tobytes() == plain.s_matrix.tobytes()
+        assert traced.converged == plain.converged
+        assert len(traced.trace) == traced.iterations
 
 
 class TestEigendecompositionBackend:
