@@ -16,10 +16,10 @@ from .analysis import (
     compute_metrics,
     dmbr,
     doppler_factor,
+    factors,
     magnitude_db,
     nag,
     pdsl,
-    prsl_at,
     prsl_curve,
     range_factor,
     rsba,
@@ -94,13 +94,13 @@ __all__ = [
     "design_uniform",
     "dmbr",
     "doppler_factor",
+    "factors",
     "generate_golay_pair",
     "magnitude_db",
     "max_null_violation",
     "nag",
     "null_residuals",
     "pdsl",
-    "prsl_at",
     "prsl_curve",
     "ptm_order",
     "quadratic_form",

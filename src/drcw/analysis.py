@@ -11,6 +11,10 @@ composite ambiguity at lag k is then
 with G(theta) = sum w_m e^{j theta m} and F(theta) = sum s_m w_m e^{j theta m}.
 Complementarity kills the first term at every nonzero lag, so range
 sidelobes are proportional to |F| and the zero-lag Doppler profile to |G|.
+Every metric is therefore computed from F and G (one phase matrix per
+call, see ``factors``); the full CAF (``composite_ambiguity``) is built
+only for the caf.csv/caf.svg exports and the tests that check the
+decomposition.
 
 Metrics: PRSL (peak range sidelobe level per Doppler bin), RSBA (the
 contiguous Doppler interval where PRSL stays below a blanking threshold),
@@ -30,7 +34,7 @@ from .design import DesignResult
 from .sequences import GolayPair, acf
 
 DB_FLOOR = -300.0
-# CAF magnitudes below this fraction of the global peak are float dust from
+# magnitudes below this fraction of the reference peak are float dust from
 # cancelled null sums (~1e-12 of peak at most); report them at the floor.
 ZERO_LEVEL = 1e-10
 
@@ -114,15 +118,17 @@ class CafGrid:
         return abs(self.values[self.zero_lag_index, self.doppler.zero_index])
 
 
-def _phase_matrix(grid: DopplerGrid, m: int) -> np.ndarray:
-    return np.exp(1j * np.outer(grid.points, np.arange(m)))
+def _phase_matrix(thetas, m: int) -> np.ndarray:
+    phases = 1j * np.outer(thetas, np.arange(m))
+    return np.exp(phases, out=phases)
 
 
 def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid) -> CafGrid:
     """Evaluate R(k, theta) = sum_m w_m R_{x(m)}[k] e^{j theta m} on the grid.
 
     Vectorized over (lag, pulse, Doppler); matches the elementwise direct
-    sum to roundoff.
+    sum to roundoff. Only the CAF exports need it; every metric comes from
+    the factors F and G.
     """
     if grid.size == 0:
         raise ValueError("empty Doppler grid")
@@ -131,7 +137,7 @@ def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid
     r2 = acf(pair.x2).values.astype(float)
     # per-pulse autocorrelation selected by the transmit order, (m, 2n-1)
     per_pulse = np.where((design.transmit_order == 1)[:, None], r1[None, :], r2[None, :])
-    phases = _phase_matrix(grid, m)  # (t, m)
+    phases = _phase_matrix(grid.points, m)  # (t, m)
     values = (per_pulse * design.weights[:, None]).T @ phases.T  # (2n-1, t)
     lags = np.arange(-(pair.n - 1), pair.n)
     caf = CafGrid(lags=lags, doppler=grid, values=values)
@@ -142,84 +148,58 @@ def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid
     return caf
 
 
+def factors(design: DesignResult, thetas) -> np.ndarray:
+    """F, G and the uniform-weight reference G_ref at the Doppler shifts
+    ``thetas``, as the rows of a (3, len(thetas)) array.
+
+    One phase matrix times the columns [y, w, 1]: F(theta) = sum y_m
+    e^{j theta m}, G(theta) = sum w_m e^{j theta m}, and G_ref is G for
+    unit weights.
+    """
+    m = design.m
+    columns = np.column_stack([design.y, design.weights, np.ones(m)])
+    return (_phase_matrix(np.atleast_1d(np.asarray(thetas, dtype=float)), m) @ columns).T
+
+
 def range_factor(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
     """F(theta) = sum_m s_m w_m e^{j theta m}; shapes the range sidelobes."""
-    return _phase_matrix(grid, design.m) @ design.y
+    return factors(design, grid.points)[0]
 
 
 def doppler_factor(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
     """G(theta) = sum_m w_m e^{j theta m}; the zero-lag Doppler profile."""
-    return _phase_matrix(grid, design.m) @ design.weights
+    return factors(design, grid.points)[1]
 
 
-def magnitude_db(values, floor: float = DB_FLOOR) -> np.ndarray:
-    """Magnitudes in dB relative to the largest entry, floored for zeros."""
+def magnitude_db(values, ref: float | None = None) -> np.ndarray:
+    """Magnitudes in dB relative to ``ref`` (default: the largest entry).
+
+    Levels at or below ZERO_LEVEL of the reference, and an all-zero input,
+    are reported at DB_FLOOR.
+    """
     mag = np.abs(np.asarray(values))
-    top = float(mag.max())
+    top = float(mag.max()) if ref is None else float(ref)
+    out = np.full(mag.shape, DB_FLOOR)
     if top == 0.0:
-        return np.full(mag.shape, floor)
+        return out
     rel = mag / top
-    out = np.full(mag.shape, floor)
     live = rel > ZERO_LEVEL
     out[live] = 20.0 * np.log10(rel[live])
-    return np.maximum(out, floor)
+    return out
 
 
-def prsl_curve(caf: CafGrid, normalization: str = "global") -> np.ndarray:
-    """Peak range sidelobe level per Doppler bin, in dB.
+def prsl_curve(design: DesignResult, pair: GolayPair, f) -> np.ndarray:
+    """Peak range sidelobe level in dB at the Doppler shifts where the range
+    factor ``f`` = F(theta) was evaluated (grid points or exact null
+    centres), relative to the zero-lag zero-Doppler peak N sum(w).
 
-    ``global`` normalizes by the zero-lag zero-Doppler peak (the blanking
-    threshold then guards weak targets against the strongest response);
-    ``per-doppler`` normalizes each bin by its own zero-lag magnitude.
+    Complementarity cancels the (R1+R2)/2 G term at every nonzero lag, so
+    the sidelobes at theta are (R1-R2)[k]/2 F(theta) and their peak is
+    max_k |R1-R2|[k]/2 |F(theta)|; (R1-R2)[0] = N - N = 0 drops out.
     """
-    if normalization not in ("global", "per-doppler"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    mags = np.abs(caf.values)
-    side = np.delete(mags, caf.zero_lag_index, axis=0).max(axis=0)
-    if normalization == "global":
-        ref = caf.peak
-    else:
-        ref = mags[caf.zero_lag_index, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rel = side / ref
-    out = np.full(side.shape, DB_FLOOR)
-    live = rel > ZERO_LEVEL
-    out[live] = 20.0 * np.log10(rel[live])
-    return np.maximum(out, DB_FLOOR)
-
-
-def prsl_at(design: DesignResult, pair: GolayPair, thetas, normalization: str = "global") -> np.ndarray:
-    """PRSL evaluated at exact Doppler shifts (no grid snapping).
-
-    Uses the decomposition of R(k, theta): at nonzero lags the summed-ACF
-    term cancels exactly (integer complementarity), so the sidelobe column
-    is (R1-R2)[k]/2 * F(theta) plus nothing.
-    """
-    if normalization not in ("global", "per-doppler"):
-        raise ValueError(f"unknown normalization {normalization!r}")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    r1 = acf(pair.x1).values
-    r2 = acf(pair.x2).values
-    half_diff = 0.5 * (r1 - r2).astype(float)
-    half_sum = 0.5 * (r1 + r2).astype(float)
-    zero_lag = pair.n - 1
-    phase = np.exp(1j * np.outer(thetas, np.arange(design.m)))
-    f_vals = phase @ design.y
-    g_vals = phase @ design.weights
-    side_cols = np.abs(
-        np.outer(np.delete(half_sum, zero_lag), g_vals)
-        + np.outer(np.delete(half_diff, zero_lag), f_vals)
-    )
-    side = side_cols.max(axis=0)
-    if normalization == "global":
-        ref = np.full_like(side, pair.n * float(np.sum(design.weights)))
-    else:
-        ref = np.abs(half_sum[zero_lag] * g_vals + half_diff[zero_lag] * f_vals)
-    rel = side / ref
-    out = np.full(side.shape, DB_FLOOR)
-    live = rel > ZERO_LEVEL
-    out[live] = 20.0 * np.log10(rel[live])
-    return np.maximum(out, DB_FLOOR)
+    half_diff = 0.5 * np.abs(acf(pair.x1).values - acf(pair.x2).values)
+    side = float(half_diff.max()) * np.abs(np.asarray(f))
+    return magnitude_db(side, ref=pair.n * float(np.sum(design.weights)))
 
 
 @dataclass(frozen=True)
@@ -354,19 +334,14 @@ class MetricsReport:
     prsl_curve: np.ndarray
 
 
-def compute_metrics(
-    design: DesignResult,
-    pair: GolayPair,
-    grid: DopplerGrid,
-    prsl_normalization: str = "global",
-) -> MetricsReport:
-    """Evaluate all metrics for a design against a complementary pair."""
-    caf = composite_ambiguity(design, pair, grid)
-    curve = prsl_curve(caf, normalization=prsl_normalization)
+def compute_metrics(design: DesignResult, pair: GolayPair, grid: DopplerGrid) -> MetricsReport:
+    """Evaluate all metrics for a design against a complementary pair, from
+    the factors F and G alone; the CAF is never built."""
+    f, g, g_ref = factors(design, grid.points)
+    curve = prsl_curve(design, pair, f)
     centers = [0.0] + [theta for theta, _ in design.provenance.null_spec.nulls]
     intervals = tuple(rsba(curve, grid, center=c) for c in centers)
-    g_mag = np.abs(doppler_factor(design, grid))
-    g_ref = np.abs(_phase_matrix(grid, design.m) @ np.ones(design.m))
+    g_mag = np.abs(g)
     try:
         pdsl_db = pdsl(g_mag, grid)
     except ValueError:
@@ -375,7 +350,7 @@ def compute_metrics(
         pdsl_db = DB_FLOOR
     return MetricsReport(
         rsba=intervals,
-        dmbr=dmbr(g_mag, g_ref, grid),
+        dmbr=dmbr(g_mag, np.abs(g_ref), grid),
         pdsl=pdsl_db,
         nag=nag(design.weights),
         prsl_curve=curve,

@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import document as doc_io
-from .analysis import DopplerGrid, compute_metrics, doppler_factor, magnitude_db
-from .analysis import composite_ambiguity, prsl_curve
+from .analysis import DopplerGrid, composite_ambiguity, compute_metrics, factors
+from .analysis import magnitude_db, prsl_curve
 from .design import (
     DesignFailure,
     design_bd,
@@ -67,12 +67,6 @@ def _add_common(
         "Doppler grid points (default: the document's grid)"
     )
     p.add_argument("--grid", type=int, default=grid_default, help=grid_help)
-    p.add_argument(
-        "--prsl-norm",
-        choices=("global", "per-doppler"),
-        default="global",
-        help="range-sidelobe normalization reference (default global peak)",
-    )
     if seeded:
         p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
         p.add_argument("--trials", type=int, default=1000, help="rounding trials (default 1000)")
@@ -149,11 +143,11 @@ def _design_from_args(args) -> tuple:
             seed=args.seed,
             tol=args.tol,
             max_iter=args.max_iter,
-            collect_solver_trace=bool(getattr(args, "trace", None)),
+            collect_solver_trace=bool(args.trace),
         )
     else:
-        if args.k0 or nulls:
-            raise ValueError(f"--k0/--null only apply to the nm method, not {method!r}")
+        if args.k0 or nulls or args.trace:
+            raise ValueError(f"--k0/--null/--trace only apply to the nm method, not {method!r}")
         if method == "ptm":
             design = design_ptm(args.m)
         elif method == "bd":
@@ -181,14 +175,8 @@ def cmd_design(args) -> int:
         Path(args.trace).write_text(text, encoding="utf-8")
     pair = generate_golay_pair(args.n)
     grid = DopplerGrid.uniform(args.grid)
-    metrics = compute_metrics(design, pair, grid, prsl_normalization=args.prsl_norm)
-    doc = doc_io.build_document(
-        design,
-        n=args.n,
-        grid_points=args.grid,
-        metrics=metrics,
-        prsl_norm=args.prsl_norm,
-    )
+    metrics = compute_metrics(design, pair, grid)
+    doc = doc_io.build_document(design, n=args.n, grid_points=args.grid, metrics=metrics)
     doc_io.save_document(doc, args.out)
     prov = design.provenance
     print(f"method {design.method}  m={design.m} n={args.n} window={prov.window_kind}")
@@ -209,9 +197,10 @@ def cmd_analyze(args) -> int:
     n = int(doc["n"])
     grid = DopplerGrid.uniform(args.grid if args.grid else int(doc["grid"]))
     pair = generate_golay_pair(n)
+    f, g, _ = factors(design, grid.points)
+    curve = prsl_curve(design, pair, f)
+    g_db = magnitude_db(g)
     caf = composite_ambiguity(design, pair, grid)
-    curve = prsl_curve(caf, normalization=args.prsl_norm)
-    g_db = magnitude_db(doppler_factor(design, grid))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "prsl.csv").write_text(doc_io.prsl_csv(grid, curve), encoding="utf-8")
@@ -267,7 +256,7 @@ def _table_rows(args) -> list[dict]:
                 tol=args.tol,
                 max_iter=args.max_iter,
             )
-            metrics = compute_metrics(design, pair, grid, prsl_normalization=args.prsl_norm)
+            metrics = compute_metrics(design, pair, grid)
             rows.append(
                 {
                     "window": kind,
@@ -359,22 +348,28 @@ def _verify_document(path: str) -> int:
             f"{obj:.6f} <= {bound:.6f}",
         )
 
-    fresh = compute_metrics(
-        design, pair, DopplerGrid.uniform(int(doc["grid"])),
-        prsl_normalization=doc.get("prsl_norm", "global"),
-    )
+    fresh = compute_metrics(design, pair, DopplerGrid.uniform(int(doc["grid"])))
     stored = doc_io.metrics_from_dict(doc["metrics"])
-    dev = max(
-        abs(fresh.dmbr - stored.dmbr),
-        abs(fresh.pdsl - stored.pdsl),
-        abs(fresh.nag - stored.nag),
-        float(np.max(np.abs(fresh.prsl_curve - stored.prsl_curve))),
-        max(
-            max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-            for a, b in zip(fresh.rsba, stored.rsba)
-        ),
-    )
-    check("re-analysis reproduces embedded metrics", dev <= 1e-9, f"max dev {dev:.3e}")
+    name = "re-analysis reproduces embedded metrics"
+    if len(stored.rsba) != len(fresh.rsba) or stored.prsl_curve.shape != fresh.prsl_curve.shape:
+        check(
+            name,
+            False,
+            f"stored {len(stored.rsba)} RSBA intervals and {stored.prsl_curve.size} PRSL points, "
+            f"expected {len(fresh.rsba)} and {fresh.prsl_curve.size}",
+        )
+    else:
+        dev = max(
+            abs(fresh.dmbr - stored.dmbr),
+            abs(fresh.pdsl - stored.pdsl),
+            abs(fresh.nag - stored.nag),
+            float(np.max(np.abs(fresh.prsl_curve - stored.prsl_curve))),
+            max(
+                max(abs(a.lo - b.lo), abs(a.hi - b.hi))
+                for a, b in zip(fresh.rsba, stored.rsba)
+            ),
+        )
+        check(name, dev <= 1e-9, f"max dev {dev:.3e}")
     return 1 if failures else 0
 
 

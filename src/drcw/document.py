@@ -19,18 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    CafGrid,
-    DB_FLOOR,
-    DopplerGrid,
-    DopplerInterval,
-    MetricsReport,
-    ZERO_LEVEL,
-)
+from .analysis import CafGrid, DopplerGrid, DopplerInterval, MetricsReport, magnitude_db
 from .design import DesignResult, Provenance
 from .nullspec import NullSpec
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _fmt(x: float) -> str:
@@ -67,7 +60,6 @@ def build_document(
     n: int,
     grid_points: int,
     metrics: MetricsReport,
-    prsl_norm: str = "global",
 ) -> dict:
     prov = design.provenance
     return {
@@ -83,7 +75,6 @@ def build_document(
         "seed": prov.seed,
         "trials": prov.trials,
         "grid": int(grid_points),
-        "prsl_norm": prsl_norm,
         "s": [int(v) for v in design.transmit_order],
         "w": [float(v) for v in design.weights],
         "objective": None if prov.rounded_objective is None else float(prov.rounded_objective),
@@ -174,16 +165,8 @@ def doppler_csv(grid: DopplerGrid, g_db) -> str:
 def caf_csv(caf: CafGrid) -> str:
     """Long-form CAF export: one row per (lag, theta) with the complex value
     and its magnitude in dB relative to the global peak."""
-    peak = caf.peak
     lines = ["lag,theta_rad,re,im,mag_db"]
-    mags = np.abs(caf.values)
-    with np.errstate(divide="ignore"):
-        db = np.where(
-            mags > ZERO_LEVEL * peak,
-            20.0 * np.log10(np.maximum(mags, 1e-300) / peak),
-            DB_FLOOR,
-        )
-    db = np.maximum(db, DB_FLOOR)
+    db = magnitude_db(caf.values, ref=caf.peak)
     for i, lag in enumerate(caf.lags):
         row = caf.values[i]
         dbr = db[i]
@@ -265,15 +248,12 @@ def svg_heatmap(caf: CafGrid, title: str, db_min: float = -100.0, max_cols: int 
     file stays manageable; the pooling preserves sidelobe peaks.
     """
     mags = np.abs(caf.values)
-    peak = caf.peak
-    n_lags, n_cols = mags.shape
+    n_cols = mags.shape[1]
     stride = max(1, int(math.ceil(n_cols / max_cols)))
     pooled = np.array(
         [mags[:, j : j + stride].max(axis=1) for j in range(0, n_cols, stride)]
     ).T
-    with np.errstate(divide="ignore"):
-        db = 20.0 * np.log10(np.maximum(pooled / peak, 1e-300))
-    db = np.clip(db, db_min, 0.0)
+    db = np.clip(magnitude_db(pooled, ref=caf.peak), db_min, 0.0)
     rows, cols = db.shape
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / cols, ph / rows

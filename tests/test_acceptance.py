@@ -20,8 +20,9 @@ from drcw import (
     design_ptm,
     design_uniform,
     doppler_factor,
+    factors,
     generate_golay_pair,
-    prsl_at,
+    prsl_curve,
     range_factor,
     round_solution,
     solve_partition_sdp,
@@ -135,7 +136,7 @@ def test_criterion_2_null_order_property():
         worst_rem = max(worst_rem, rem / (1e-8 * m))
         assert rem <= 1e-8 * m, f"remainder {rem:.3e} for m={m} spec={spec}"
         centers = ([0.0] if spec.k0 >= 1 else []) + [t for t, _ in spec.nulls]
-        levels = prsl_at(design, pair, centers)
+        levels = prsl_curve(design, pair, factors(design, centers)[0])
         if not np.all(levels == DB_FLOOR):
             center_failures.append((m, spec, levels))
     elapsed = time.monotonic() - start

@@ -12,10 +12,10 @@ from drcw.analysis import (
     compute_metrics,
     dmbr,
     doppler_factor,
+    factors,
     magnitude_db,
     nag,
     pdsl,
-    prsl_at,
     prsl_curve,
     range_factor,
     rsba,
@@ -110,6 +110,13 @@ class TestCompositeAmbiguity:
         )
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(caf.values - direct)) <= 1e-10 * scale
+        # closed-form PRSL against the direct sum's peak nonzero-lag level
+        # (a length-1 pair has no nonzero lag, hence no sidelobes)
+        side = np.delete(np.abs(direct), pair.n - 1, axis=0).max(axis=0, initial=0.0)
+        expected = side / (pair.n * np.sum(d.weights))
+        curve = prsl_curve(d, pair, range_factor(d, grid))
+        got = np.where(curve > DB_FLOOR, 10.0 ** (curve / 20.0), 0.0)
+        assert np.max(np.abs(got - expected)) <= 2e-10
 
     def test_decomposition_identity(self):
         # R(k,theta) = (R1+R2)/2 G + (R1-R2)/2 F, via the factor functions
@@ -168,37 +175,27 @@ class TestPrsl:
             provenance=Provenance(None, None, None, None, NullSpec(k0=0), None),
         )
         grid = DopplerGrid.uniform(16)
-        curve = prsl_curve(composite_ambiguity(d, pair, grid))
+        curve = prsl_curve(d, pair, range_factor(d, grid))
         assert np.allclose(curve, 20 * math.log10(0.5), atol=1e-9)
 
     def test_uniform_alternating_floors_at_zero_doppler(self):
         pair = generate_golay_pair(8)
         d = design_uniform(6)
         grid = DopplerGrid.uniform(64)
-        curve = prsl_curve(composite_ambiguity(d, pair, grid))
+        curve = prsl_curve(d, pair, range_factor(d, grid))
         assert curve[grid.zero_index] == DB_FLOOR
 
     def test_bd_curve_shape(self):
         pair = generate_golay_pair(64)
         d = design_bd(50)
         grid = DopplerGrid.uniform(2048)
-        curve = prsl_curve(composite_ambiguity(d, pair, grid))
+        curve = prsl_curve(d, pair, range_factor(d, grid))
         z = grid.zero_index
         assert curve[z] == DB_FLOOR
         # blanked zone around zero, rising toward the band edges
         assert np.all(curve[np.abs(grid.points) <= 0.05 * math.pi] < -60)
         edge = curve[np.abs(grid.points) >= 0.9 * math.pi]
         assert edge.min() > -40
-
-    def test_per_doppler_normalization_is_no_smaller(self):
-        pair = generate_golay_pair(16)
-        d = design_bd(12)
-        grid = DopplerGrid.uniform(256)
-        caf = composite_ambiguity(d, pair, grid)
-        global_curve = prsl_curve(caf, normalization="global")
-        per = prsl_curve(caf, normalization="per-doppler")
-        live = (per > DB_FLOOR) & (global_curve > DB_FLOOR)
-        assert np.all(per[live] >= global_curve[live] - 1e-9)
 
     def test_prsl_at_exact_null_centers_floors(self):
         pair = generate_golay_pair(64)
@@ -207,17 +204,19 @@ class TestPrsl:
             50, NullSpec(k0=4, nulls=((theta1, 2),)), window_template("hamming", 50),
             trials=200, seed=3,
         )
-        vals = prsl_at(d, pair, [0.0, theta1, -theta1])
-        assert np.all(vals == DB_FLOOR)
+        f = factors(d, [0.0, theta1, -theta1])[0]
+        assert np.all(prsl_curve(d, pair, f) == DB_FLOOR)
 
     def test_prsl_at_matches_grid_curve(self):
         pair = generate_golay_pair(16)
         d = design_bd(12)
         grid = DopplerGrid.uniform(128)
         caf = composite_ambiguity(d, pair, grid)
-        curve = prsl_curve(caf)
-        vals = prsl_at(d, pair, grid.points)
+        side = np.delete(np.abs(caf.values), caf.zero_lag_index, axis=0).max(axis=0)
+        curve = magnitude_db(side, ref=caf.peak)
+        vals = prsl_curve(d, pair, range_factor(d, grid))
         live = curve > DB_FLOOR
+        assert np.array_equal(vals > DB_FLOOR, live)
         assert np.allclose(vals[live], curve[live], atol=1e-9)
 
 
@@ -327,6 +326,11 @@ class TestMagnitudeDb:
         assert db[0] == 0.0
         assert db[1] == pytest.approx(-20.0)
         assert db[2] == DB_FLOOR
+        db = magnitude_db(np.array([0.5, 0.05, 1e-11]), ref=0.5)
+        assert db[0] == 0.0
+        assert db[1] == pytest.approx(-20.0)
+        assert db[2] == DB_FLOOR
+        assert np.all(magnitude_db(np.zeros(3)) == DB_FLOOR)
 
 
 class TestComputeMetrics:

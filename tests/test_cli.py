@@ -72,6 +72,17 @@ class TestDesignCommand:
     def test_baseline_rejects_null_options(self):
         assert run_cli("design", "bd", "--m", "8", "--k0", "3") == 2
 
+    @pytest.mark.parametrize("method", ["bd", "ptm", "uniform"])
+    def test_baseline_rejects_trace(self, method, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        code = run_cli(
+            "design", method, "--m", "8", "--n", "8", "--grid", "128",
+            "-o", str(tmp_path / "d.json"), "--trace", str(trace),
+        )
+        assert code == 2
+        assert "--trace" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_document_round_trip_bytes(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("design", "bd", "--m", "10", "--n", "8", "--grid", "128", "-o", str(out))
@@ -144,10 +155,18 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", str(bad)) == 2
         assert run_cli("analyze", str(tmp_path / "missing.json")) == 2
 
-    def test_wrong_schema_rejected(self, tmp_path):
+    def test_wrong_schema_rejected(self, document, tmp_path, capsys):
         bad = tmp_path / "v99.json"
         bad.write_text(json.dumps({"schema_version": 99}))
         assert run_cli("analyze", str(bad)) == 2
+        # version 1 documents carry metrics from the CAF-based PRSL path
+        old = json.loads(document.read_text())
+        old["schema_version"] = 1
+        v1 = tmp_path / "v1.json"
+        v1.write_text(json.dumps(old))
+        assert run_cli("analyze", str(v1)) == 2
+        assert run_cli("verify", str(v1)) == 2
+        assert "unsupported schema_version 1" in capsys.readouterr().err
 
 
 class TestTableCommand:
@@ -222,6 +241,45 @@ class TestVerifyCommand:
         assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
         # no option skips the re-analysis
         assert run_cli("verify", str(out), "--grid", "64") == 2
+
+    @pytest.fixture()
+    def two_zone(self, tmp_path):
+        out = tmp_path / "two.json"
+        run_cli(
+            "design", "nm", "--m", "16", "--n", "8", "--k0", "3", "--null", "0.7pi:1",
+            "--window", "hamming", "--trials", "50", "--grid", "256", "-o", str(out),
+        )
+        return out
+
+    def test_truncated_rsba_list_fails_reanalysis(self, two_zone, capsys):
+        doc = json.loads(two_zone.read_text())
+        assert len(doc["metrics"]["rsba"]) == 2
+        doc["metrics"]["rsba"] = doc["metrics"]["rsba"][:1]
+        two_zone.write_text(json.dumps(doc))
+        assert run_cli("verify", str(two_zone)) == 1
+        assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cut", [1, -1])
+    def test_wrong_length_prsl_curve_fails_reanalysis(self, two_zone, cut, capsys):
+        doc = json.loads(two_zone.read_text())
+        curve = doc["metrics"]["prsl_curve"]
+        doc["metrics"]["prsl_curve"] = curve[:-1] if cut > 0 else curve + [curve[-1]]
+        two_zone.write_text(json.dumps(doc))
+        assert run_cli("verify", str(two_zone)) == 1
+        assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
+
+    def test_never_builds_the_caf(self, two_zone, monkeypatch, capsys):
+        # verify re-analyses through compute_metrics, so this covers both
+        import drcw.analysis
+        import drcw.cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CAF was built")
+
+        monkeypatch.setattr(drcw.analysis, "composite_ambiguity", refuse)
+        monkeypatch.setattr(drcw.cli, "composite_ambiguity", refuse)
+        assert run_cli("verify", str(two_zone)) == 0
+        assert "ok: re-analysis reproduces embedded metrics" in capsys.readouterr().out
 
     def test_bd_document_divisible_by_full_order(self, tmp_path, capsys):
         out = tmp_path / "bd.json"
