@@ -15,13 +15,11 @@ from .analysis import (
     composite_ambiguity,
     compute_metrics,
     dmbr,
-    doppler_factor,
     factors,
     magnitude_db,
     nag,
     pdsl,
     prsl_curve,
-    range_factor,
     rsba,
 )
 from .design import (
@@ -37,9 +35,7 @@ from .design import (
     round_solution,
 )
 from .nullspec import (
-    ConstraintBasis,
     NullSpec,
-    QuadraticForm,
     constraint_basis,
     max_null_violation,
     null_residuals,
@@ -47,7 +43,6 @@ from .nullspec import (
 )
 from .sdp import SdpResiduals, SdpSolution, SolverFailure, solve_partition_sdp
 from .sequences import (
-    Acf,
     ComplementarityReport,
     GolayPair,
     WINDOW_KINDS,
@@ -63,11 +58,9 @@ from .sequences import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Acf",
     "BLANKING_THRESHOLD_DB",
     "CafGrid",
     "ComplementarityReport",
-    "ConstraintBasis",
     "DesignFailure",
     "DesignResult",
     "DopplerGrid",
@@ -76,7 +69,6 @@ __all__ = [
     "MetricsReport",
     "NullSpec",
     "Provenance",
-    "QuadraticForm",
     "RoundedSolution",
     "SdpResiduals",
     "SdpSolution",
@@ -93,7 +85,6 @@ __all__ = [
     "design_ptm",
     "design_uniform",
     "dmbr",
-    "doppler_factor",
     "factors",
     "generate_golay_pair",
     "magnitude_db",
@@ -104,7 +95,6 @@ __all__ = [
     "prsl_curve",
     "ptm_order",
     "quadratic_form",
-    "range_factor",
     "recover_amplitudes",
     "round_solution",
     "rsba",

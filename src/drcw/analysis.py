@@ -133,8 +133,8 @@ def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid
     if grid.size == 0:
         raise ValueError("empty Doppler grid")
     m = design.m
-    r1 = acf(pair.x1).values.astype(float)
-    r2 = acf(pair.x2).values.astype(float)
+    r1 = acf(pair.x1).astype(float)
+    r2 = acf(pair.x2).astype(float)
     # per-pulse autocorrelation selected by the transmit order, (m, 2n-1)
     per_pulse = np.where((design.transmit_order == 1)[:, None], r1[None, :], r2[None, :])
     phases = _phase_matrix(grid.points, m)  # (t, m)
@@ -159,16 +159,6 @@ def factors(design: DesignResult, thetas) -> np.ndarray:
     m = design.m
     columns = np.column_stack([design.y, design.weights, np.ones(m)])
     return (_phase_matrix(np.atleast_1d(np.asarray(thetas, dtype=float)), m) @ columns).T
-
-
-def range_factor(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
-    """F(theta) = sum_m s_m w_m e^{j theta m}; shapes the range sidelobes."""
-    return factors(design, grid.points)[0]
-
-
-def doppler_factor(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
-    """G(theta) = sum_m w_m e^{j theta m}; the zero-lag Doppler profile."""
-    return factors(design, grid.points)[1]
 
 
 def magnitude_db(values, ref: float | None = None) -> np.ndarray:
@@ -197,7 +187,7 @@ def prsl_curve(design: DesignResult, pair: GolayPair, f) -> np.ndarray:
     the sidelobes at theta are (R1-R2)[k]/2 F(theta) and their peak is
     max_k |R1-R2|[k]/2 |F(theta)|; (R1-R2)[0] = N - N = 0 drops out.
     """
-    half_diff = 0.5 * np.abs(acf(pair.x1).values - acf(pair.x2).values)
+    half_diff = 0.5 * np.abs(acf(pair.x1) - acf(pair.x2))
     side = float(half_diff.max()) * np.abs(np.asarray(f))
     return magnitude_db(side, ref=pair.n * float(np.sum(design.weights)))
 
@@ -280,9 +270,14 @@ def dmbr(g_mag, g_ref_mag, grid: DopplerGrid) -> float:
 
 def pdsl(g_mag, grid: DopplerGrid) -> float:
     """Peak Doppler sidelobe level in dB: the largest |G| beyond the first
-    local minimum on each side of theta = 0, relative to |G(0)|."""
+    local minimum on each side of theta = 0, relative to |G(0)|.
+
+    Levels at or below ZERO_LEVEL of |G(0)| count as zero, so float dust in
+    a null does not make a local minimum.
+    """
     g = np.asarray(g_mag, dtype=float)
     z = grid.zero_index
+    g = np.where(g > ZERO_LEVEL * g[z], g, 0.0)
     i = z
     while i + 1 < len(g) and g[i + 1] <= g[i]:
         i += 1

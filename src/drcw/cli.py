@@ -203,8 +203,8 @@ def cmd_analyze(args) -> int:
     caf = composite_ambiguity(design, pair, grid)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "prsl.csv").write_text(doc_io.prsl_csv(grid, curve), encoding="utf-8")
-    (out / "doppler.csv").write_text(doc_io.doppler_csv(grid, g_db), encoding="utf-8")
+    (out / "prsl.csv").write_text(doc_io.curve_csv(grid, curve, "prsl_db"), encoding="utf-8")
+    (out / "doppler.csv").write_text(doc_io.curve_csv(grid, g_db, "g_db"), encoding="utf-8")
     (out / "caf.csv").write_text(doc_io.caf_csv(caf), encoding="utf-8")
     written = ["prsl.csv", "doppler.csv", "caf.csv"]
     if args.svg:

@@ -24,15 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nullspec import (
-    ConstraintBasis,
-    NullSpec,
-    QuadraticForm,
-    constraint_basis,
-    max_null_violation,
-    quadratic_form,
-)
-from .sdp import SdpSolution, SolverFailure, solve_partition_sdp
+from .nullspec import NullSpec, constraint_basis, max_null_violation, quadratic_form
+from .sdp import SolverFailure, solve_partition_sdp
 from .sequences import WindowTemplate, binomial_weights, ptm_order
 
 
@@ -54,13 +47,14 @@ class RoundedSolution:
 
 
 def round_solution(
-    solution,
-    a_tilde,
+    s_matrix: np.ndarray,
+    a_tilde: np.ndarray,
     trials: int,
     seed: int,
     mu: float = 1e8,
 ) -> RoundedSolution:
-    """Extract a sign vector from a relaxation solution.
+    """Extract a sign vector from the relaxation matrix S (M x M) for the
+    objective s^T A_tilde s.
 
     If the top eigenvalue dominates the rest by the factor ``mu`` the
     solution is treated as rank one and the leading eigenvector's sign
@@ -73,8 +67,8 @@ def round_solution(
         raise ValueError(f"trials must be positive, got {trials}")
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
-    S = solution.s_matrix if isinstance(solution, SdpSolution) else np.asarray(solution, dtype=float)
-    At = a_tilde.a_tilde if isinstance(a_tilde, QuadraticForm) else np.asarray(a_tilde, dtype=float)
+    S = np.asarray(s_matrix, dtype=float)
+    At = np.asarray(a_tilde, dtype=float)
     M = S.shape[0]
     lam, vecs = np.linalg.eigh(S)
     lam = lam[::-1]
@@ -103,21 +97,22 @@ def round_solution(
 
 
 def recover_amplitudes(
-    s_hat, basis: ConstraintBasis, window: WindowTemplate
+    s_hat, a_bar: np.ndarray, window: WindowTemplate
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal in-subspace amplitudes for a fixed sign pattern.
+    """Optimal in-subspace amplitudes for a fixed sign pattern, given the
+    orthonormal basis A_bar (m x (m-K)) of the null-constrained subspace.
 
     b_hat = alpha * A_bar^T Diag(w) s with alpha chosen so ||b_hat||^2 = M,
     and y_hat = A_bar b_hat, the projection of Diag(w) s onto the
     null-constrained subspace, rescaled to ||y_hat||^2 = M.
     """
-    m = basis.m
+    m = len(a_bar)
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
     s = np.asarray(s_hat, dtype=float)
     if s.shape != (m,):
         raise ValueError(f"sign vector must have shape ({m},)")
-    t = basis.a_bar.T @ (window.values * s)
+    t = a_bar.T @ (window.values * s)
     nrm = float(np.linalg.norm(t))
     if nrm < 1e-12 * math.sqrt(m):
         raise DesignFailure(
@@ -125,7 +120,7 @@ def recover_amplitudes(
             "subspace; no amplitudes can be recovered"
         )
     b_hat = (math.sqrt(m) / nrm) * t
-    y = basis.a_bar @ b_hat
+    y = a_bar @ b_hat
     y *= math.sqrt(m) / np.linalg.norm(y)
     return b_hat, y
 
@@ -180,18 +175,18 @@ def design_nm_drcw(
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
-    basis = constraint_basis(spec, m)
-    form = quadratic_form(basis, window)
+    a_bar = constraint_basis(spec, m)
+    a_tilde = quadratic_form(a_bar, window)
     solution = solve_partition_sdp(
-        form, tol=tol, max_iter=max_iter, collect_trace=collect_solver_trace
+        a_tilde, tol=tol, max_iter=max_iter, collect_trace=collect_solver_trace
     )
     if not solution.converged:
         raise SolverFailure(
             "relaxation did not converge: gap "
             f"{solution.residuals.duality_gap:.3e} after {solution.iterations} iterations"
         )
-    rounded = round_solution(solution, form, trials=trials, seed=seed)
-    _, y = recover_amplitudes(rounded.s, basis, window)
+    rounded = round_solution(solution.s_matrix, a_tilde, trials=trials, seed=seed)
+    _, y = recover_amplitudes(rounded.s, a_bar, window)
 
     warnings = []
     if rounded.clamped_eigenvalues:
@@ -222,72 +217,35 @@ def design_nm_drcw(
 
 
 def _alternating(m: int) -> np.ndarray:
+    if m < 1:
+        raise ValueError(f"pulse count must be >= 1, got {m}")
     s = np.ones(m, dtype=np.int64)
     s[1::2] = -1
     return s
 
 
-def design_bd(m: int) -> DesignResult:
-    """Alternating order with binomial weights: y proportional to the
-    coefficients of (1-z)^(M-1), an order-(M-1) null at zero Doppler."""
-    if m < 1:
-        raise ValueError(f"pulse count must be >= 1, got {m}")
-    s = _alternating(m)
-    w = binomial_weights(m)
-    y = s * w
+def _baseline(method: str, s: np.ndarray, w: np.ndarray, k0: int) -> DesignResult:
+    """A fixed design y = s o w whose only null is order k0 at zero Doppler."""
     return DesignResult(
         transmit_order=s,
         weights=w,
-        y=y,
-        method="bd",
-        provenance=Provenance(
-            seed=None,
-            trials=None,
-            rounded_objective=None,
-            sdp_bound=None,
-            null_spec=NullSpec(k0=m - 1),
-            window_kind=None,
-        ),
+        y=s * w,
+        method=method,
+        provenance=Provenance(None, None, None, None, NullSpec(k0=k0), None),
     )
+
+
+def design_bd(m: int) -> DesignResult:
+    """Alternating order with binomial weights: y proportional to the
+    coefficients of (1-z)^(M-1), an order-(M-1) null at zero Doppler."""
+    return _baseline("bd", _alternating(m), binomial_weights(m), m - 1)
 
 
 def design_ptm(m: int) -> DesignResult:
     """Prouhet-Thue-Morse order with unit weights: order log2(M) null."""
-    s = ptm_order(m)
-    w = np.ones(m)
-    return DesignResult(
-        transmit_order=s,
-        weights=w,
-        y=s * w,
-        method="ptm",
-        provenance=Provenance(
-            seed=None,
-            trials=None,
-            rounded_objective=None,
-            sdp_bound=None,
-            null_spec=NullSpec(k0=m.bit_length() - 1),
-            window_kind=None,
-        ),
-    )
+    return _baseline("ptm", ptm_order(m), np.ones(m), m.bit_length() - 1)
 
 
 def design_uniform(m: int) -> DesignResult:
     """Unweighted alternating train; the accumulation-gain reference."""
-    if m < 1:
-        raise ValueError(f"pulse count must be >= 1, got {m}")
-    s = _alternating(m)
-    w = np.ones(m)
-    return DesignResult(
-        transmit_order=s,
-        weights=w,
-        y=s * w,
-        method="uniform",
-        provenance=Provenance(
-            seed=None,
-            trials=None,
-            rounded_objective=None,
-            sdp_bound=None,
-            null_spec=NullSpec(k0=1 if m % 2 == 0 else 0),
-            window_kind=None,
-        ),
-    )
+    return _baseline("uniform", _alternating(m), np.ones(m), 1 if m % 2 == 0 else 0)

@@ -26,10 +26,6 @@ from .nullspec import NullSpec
 SCHEMA_VERSION = 2
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def metrics_to_dict(report: MetricsReport) -> dict:
     return {
         "rsba": [
@@ -148,33 +144,25 @@ def document_to_design(doc: dict) -> DesignResult:
 # CSV exports
 
 
-def prsl_csv(grid: DopplerGrid, curve) -> str:
-    lines = ["theta_rad,prsl_db"]
-    for theta, val in zip(grid.points, np.asarray(curve, dtype=float)):
-        lines.append(f"{_fmt(theta)},{_fmt(val)}")
-    return "\n".join(lines) + "\n"
-
-
-def doppler_csv(grid: DopplerGrid, g_db) -> str:
-    lines = ["theta_rad,g_db"]
-    for theta, val in zip(grid.points, np.asarray(g_db, dtype=float)):
-        lines.append(f"{_fmt(theta)},{_fmt(val)}")
-    return "\n".join(lines) + "\n"
+def curve_csv(grid: DopplerGrid, values, column: str) -> str:
+    """Two-column export of a curve over the Doppler grid, e.g. ``column``
+    "prsl_db" for the PRSL curve or "g_db" for the Doppler profile."""
+    rows = zip(grid.points.tolist(), np.asarray(values, dtype=float).tolist())
+    return f"theta_rad,{column}\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v in rows)
 
 
 def caf_csv(caf: CafGrid) -> str:
     """Long-form CAF export: one row per (lag, theta) with the complex value
     and its magnitude in dB relative to the global peak."""
-    lines = ["lag,theta_rad,re,im,mag_db"]
+    thetas = [f"{t:.12g}" for t in caf.doppler.points.tolist()]
     db = magnitude_db(caf.values, ref=caf.peak)
-    for i, lag in enumerate(caf.lags):
-        row = caf.values[i]
-        dbr = db[i]
-        for j, theta in enumerate(caf.doppler.points):
-            lines.append(
-                f"{int(lag)},{_fmt(theta)},{_fmt(row[j].real)},{_fmt(row[j].imag)},{_fmt(dbr[j])}"
-            )
-    return "\n".join(lines) + "\n"
+    parts = ["lag,theta_rad,re,im,mag_db\n"]
+    for lag, row, row_db in zip(caf.lags.tolist(), caf.values, db):
+        parts.append("".join(
+            f"{lag},{t},{v.real:.12g},{v.imag:.12g},{d:.12g}\n"
+            for t, v, d in zip(thetas, row.tolist(), row_db.tolist())
+        ))
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -77,19 +77,10 @@ def _factors(spec: NullSpec):
             yield (1.0, -2.0 * math.cos(theta), 1.0)
 
 
-@dataclass(frozen=True)
-class ConstraintBasis:
-    """Orthonormal basis A_bar (m x (m-K)) of the null-constrained subspace
-    {a (x) b}, with K the total null order."""
-
-    a_bar: np.ndarray
-    m: int
-    order: int
-
-
-def constraint_basis(spec: NullSpec, m: int) -> ConstraintBasis:
-    """Orthonormal basis of {a (x) b : b in R^(m-K)} for the annihilator a of
-    ``spec``, built one factor at a time from the identity on R^(m-K).
+def constraint_basis(spec: NullSpec, m: int) -> np.ndarray:
+    """Orthonormal basis A_bar (m x (m-K)) of {a (x) b : b in R^(m-K)} for
+    the annihilator a of ``spec``, with K its total null order, built one
+    factor at a time from the identity on R^(m-K).
 
     Raises when K > m-1, which would leave no free coefficients.
     """
@@ -106,27 +97,17 @@ def constraint_basis(spec: NullSpec, m: int) -> ConstraintBasis:
         for i, c in enumerate(factor):
             conv[i : i + rows] += c * q
         q, _ = np.linalg.qr(conv)
-    return ConstraintBasis(a_bar=q, m=m, order=K)
+    return q
 
 
-@dataclass(frozen=True)
-class QuadraticForm:
-    """Symmetric PSD matrix Diag(w) A_bar A_bar^T Diag(w) of the two-way
-    partitioning objective."""
-
-    a_tilde: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.a_tilde.shape[0]
-
-
-def quadratic_form(basis: ConstraintBasis, window: WindowTemplate) -> QuadraticForm:
-    if window.m != basis.m:
-        raise ValueError(f"window length {window.m} does not match pulse count {basis.m}")
+def quadratic_form(a_bar: np.ndarray, window: WindowTemplate) -> np.ndarray:
+    """Symmetric PSD matrix A_tilde = Diag(w) A_bar A_bar^T Diag(w) (m x m)
+    of the two-way partitioning objective."""
+    if window.m != len(a_bar):
+        raise ValueError(f"window length {window.m} does not match pulse count {len(a_bar)}")
     w = window.values
-    at = (w[:, None] * basis.a_bar) @ (basis.a_bar.T * w[None, :])
-    return QuadraticForm(a_tilde=(at + at.T) / 2.0)
+    at = (w[:, None] * a_bar) @ (a_bar.T * w[None, :])
+    return (at + at.T) / 2.0
 
 
 def null_residuals(y, spec: NullSpec) -> np.ndarray:

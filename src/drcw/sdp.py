@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nullspec import QuadraticForm
-
 
 class SolverFailure(RuntimeError):
     """Solver could not reach the requested tolerance within its budget."""
@@ -60,12 +58,6 @@ class SdpSolution:
     trace: tuple[tuple[int, float, float, float], ...] = ()
 
 
-def _as_matrix(a_tilde) -> np.ndarray:
-    if isinstance(a_tilde, QuadraticForm):
-        return np.array(a_tilde.a_tilde, dtype=float)
-    return np.array(a_tilde, dtype=float)
-
-
 def solve_partition_sdp(
     a_tilde,
     tol: float = 1e-6,
@@ -76,7 +68,7 @@ def solve_partition_sdp(
 
     Parameters
     ----------
-    a_tilde : QuadraticForm or (M, M) array
+    a_tilde : (M, M) array
         Symmetric objective matrix. Symmetry deviation beyond
         1e-8 * ||A_tilde|| is rejected.
     tol : float
@@ -90,7 +82,7 @@ def solve_partition_sdp(
     is positive definite up to roundoff. Deterministic: identical inputs
     produce identical outputs.
     """
-    A = _as_matrix(a_tilde)
+    A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"a_tilde must be square, got shape {A.shape}")
     if not 0.0 < tol <= 1e-2:

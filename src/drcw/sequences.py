@@ -25,31 +25,13 @@ def _as_pm1(seq, name: str = "sequence") -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Acf:
-    """Aperiodic autocorrelation at lags -(n-1)..(n-1), exact integers."""
-
-    values: np.ndarray
-    n: int
-
-    @property
-    def lags(self) -> np.ndarray:
-        return np.arange(-(self.n - 1), self.n)
-
-    def at(self, k: int) -> int:
-        if abs(k) >= self.n:
-            return 0
-        return int(self.values[k + self.n - 1])
-
-
-def acf(seq) -> Acf:
-    """Exact integer autocorrelation of a +/-1 sequence.
-
-    values[k + n - 1] = sum_i seq[i] * seq[i + k], out-of-range terms zero.
+def acf(seq) -> np.ndarray:
+    """Exact int64 aperiodic autocorrelation of a +/-1 sequence at lags
+    -(n-1)..(n-1): out[k + n - 1] = sum_i seq[i] * seq[i + k], out-of-range
+    terms zero.
     """
     x = _as_pm1(seq)
-    vals = np.correlate(x, x, mode="full")
-    return Acf(values=vals, n=len(x))
+    return np.correlate(x, x, mode="full")
 
 
 @dataclass(frozen=True)
@@ -72,7 +54,7 @@ def verify_complementary(x1, x2) -> ComplementarityReport:
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     n = len(a)
-    total = acf(a).values + acf(b).values
+    total = acf(a) + acf(b)
     target = np.zeros(2 * n - 1, dtype=np.int64)
     target[n - 1] = 2 * n
     dev = np.abs(total - target)

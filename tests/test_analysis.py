@@ -11,13 +11,11 @@ from drcw.analysis import (
     composite_ambiguity,
     compute_metrics,
     dmbr,
-    doppler_factor,
     factors,
     magnitude_db,
     nag,
     pdsl,
     prsl_curve,
-    range_factor,
     rsba,
 )
 from drcw.design import design_bd, design_nm_drcw, design_uniform
@@ -79,7 +77,7 @@ class TestCompositeAmbiguity:
         )
         grid = DopplerGrid.uniform(16)
         caf = composite_ambiguity(d, pair, grid)
-        expected = acf(pair.x1).values.astype(float)
+        expected = acf(pair.x1).astype(float)
         for t in range(grid.size):
             assert np.allclose(caf.values[:, t], expected, atol=1e-12)
 
@@ -114,7 +112,7 @@ class TestCompositeAmbiguity:
         # (a length-1 pair has no nonzero lag, hence no sidelobes)
         side = np.delete(np.abs(direct), pair.n - 1, axis=0).max(axis=0, initial=0.0)
         expected = side / (pair.n * np.sum(d.weights))
-        curve = prsl_curve(d, pair, range_factor(d, grid))
+        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
         got = np.where(curve > DB_FLOOR, 10.0 ** (curve / 20.0), 0.0)
         assert np.max(np.abs(got - expected)) <= 2e-10
 
@@ -127,10 +125,9 @@ class TestCompositeAmbiguity:
         d = random_design(rng, 7)
         grid = DopplerGrid.uniform(64)
         caf = composite_ambiguity(d, pair, grid)
-        r1 = acf(pair.x1).values.astype(float)
-        r2 = acf(pair.x2).values.astype(float)
-        g = doppler_factor(d, grid)
-        f = range_factor(d, grid)
+        r1 = acf(pair.x1).astype(float)
+        r2 = acf(pair.x2).astype(float)
+        f, g, _ = factors(d, grid.points)
         recomposed = 0.5 * np.outer(r1 + r2, g) + 0.5 * np.outer(r1 - r2, f)
         scale = np.max(np.abs(recomposed))
         assert np.max(np.abs(caf.values - recomposed)) <= 1e-10 * scale
@@ -140,14 +137,14 @@ class TestFactors:
     def test_zero_null_forces_f_zero(self):
         d = design_nm_drcw(16, NullSpec(k0=2), window_template("hamming", 16), trials=50, seed=1)
         grid = DopplerGrid.uniform(64)
-        f = range_factor(d, grid)
+        f = factors(d, grid.points)[0]
         assert abs(f[grid.zero_index]) <= 1e-10 * 16
 
     def test_uniform_doppler_factor_is_dirichlet(self):
         m = 9
         d = design_uniform(m)
         grid = DopplerGrid.uniform(128)
-        g = np.abs(doppler_factor(d, grid))
+        g = np.abs(factors(d, grid.points)[1])
         theta = grid.points
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = np.abs(np.sin(m * theta / 2) / np.sin(theta / 2))
@@ -158,7 +155,7 @@ class TestFactors:
         rng = np.random.default_rng(2)
         d = random_design(rng, 11)
         grid = DopplerGrid.uniform(32)
-        g = doppler_factor(d, grid)
+        g = factors(d, grid.points)[1]
         assert g[grid.zero_index].real == pytest.approx(float(np.sum(d.weights)), rel=1e-12)
         assert g[grid.zero_index].imag == pytest.approx(0.0, abs=1e-12)
 
@@ -175,21 +172,21 @@ class TestPrsl:
             provenance=Provenance(None, None, None, None, NullSpec(k0=0), None),
         )
         grid = DopplerGrid.uniform(16)
-        curve = prsl_curve(d, pair, range_factor(d, grid))
+        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
         assert np.allclose(curve, 20 * math.log10(0.5), atol=1e-9)
 
     def test_uniform_alternating_floors_at_zero_doppler(self):
         pair = generate_golay_pair(8)
         d = design_uniform(6)
         grid = DopplerGrid.uniform(64)
-        curve = prsl_curve(d, pair, range_factor(d, grid))
+        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
         assert curve[grid.zero_index] == DB_FLOOR
 
     def test_bd_curve_shape(self):
         pair = generate_golay_pair(64)
         d = design_bd(50)
         grid = DopplerGrid.uniform(2048)
-        curve = prsl_curve(d, pair, range_factor(d, grid))
+        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
         z = grid.zero_index
         assert curve[z] == DB_FLOOR
         # blanked zone around zero, rising toward the band edges
@@ -214,7 +211,7 @@ class TestPrsl:
         caf = composite_ambiguity(d, pair, grid)
         side = np.delete(np.abs(caf.values), caf.zero_lag_index, axis=0).max(axis=0)
         curve = magnitude_db(side, ref=caf.peak)
-        vals = prsl_curve(d, pair, range_factor(d, grid))
+        vals = prsl_curve(d, pair, factors(d, grid.points)[0])
         live = curve > DB_FLOOR
         assert np.array_equal(vals > DB_FLOOR, live)
         assert np.allclose(vals[live], curve[live], atol=1e-9)
@@ -258,14 +255,14 @@ class TestDopplerMetrics:
     def test_dmbr_identical_profiles(self):
         grid = DopplerGrid.uniform(1024)
         d = design_uniform(20)
-        g = np.abs(doppler_factor(d, grid))
+        g = np.abs(factors(d, grid.points)[1])
         assert dmbr(g, g, grid) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_reference_width(self):
         # -3 dB width of the length-m uniform profile is about 0.886 * 2pi/m
         m = 50
         grid = DopplerGrid.uniform(8192)
-        g = np.abs(doppler_factor(design_uniform(m), grid))
+        g = np.abs(factors(design_uniform(m), grid.points)[1])
         level = g[grid.zero_index] * 10 ** (-3 / 20)
         above = np.where(g >= level)[0]
         width = grid.points[above.max()] - grid.points[above.min()]
@@ -279,7 +276,7 @@ class TestDopplerMetrics:
 
     def test_pdsl_uniform_matches_dirichlet_sidelobe(self):
         grid = DopplerGrid.uniform(8192)
-        g = np.abs(doppler_factor(design_uniform(50), grid))
+        g = np.abs(factors(design_uniform(50), grid.points)[1])
         assert pdsl(g, grid) == pytest.approx(-13.26, abs=0.1)
 
     def test_pdsl_monotone_profile_fails(self):
@@ -350,3 +347,9 @@ class TestComputeMetrics:
         if not inside.empty:
             sel = (grid.points >= inside.lo) & (grid.points <= inside.hi)
             assert np.all(report.prsl_curve[sel] < -60.0)
+
+    def test_binomial_profile_has_no_doppler_sidelobe(self):
+        # |G| = sum(w) |cos(theta/2)|^(M-1) is monotone on each side of zero;
+        # the float dust of its sum near +/-pi must not count as a sidelobe
+        report = compute_metrics(design_bd(50), generate_golay_pair(64), DopplerGrid.uniform(8192))
+        assert report.pdsl == DB_FLOOR

@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drcw
 from drcw import document as doc_io
 from drcw.cli import main, parse_angle, parse_null
 
@@ -292,11 +295,15 @@ class TestVerifyCommand:
 
 
 class TestSubprocessEntry:
+    # the child interpreter imports the same drcw as this one, installed or not
+    ENV = {**os.environ, "PYTHONPATH": str(Path(drcw.__file__).parents[1])}
+
     def test_module_invocation(self):
         proc = subprocess.run(
             [sys.executable, "-m", "drcw", "verify", "--golay", "16"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 0
         assert "ok" in proc.stdout
@@ -306,5 +313,6 @@ class TestSubprocessEntry:
             [sys.executable, "-m", "drcw", "design", "ptm", "--m", "48"],
             capture_output=True,
             text=True,
+            env=self.ENV,
         )
         assert proc.returncode == 2

@@ -57,8 +57,9 @@ class TestRoundSolution:
             m = int(rng.integers(4, 13))
             _, form = make_form(m, int(rng.integers(1, m - 1)))
             sol = solve_partition_sdp(form)
-            rounded = round_solution(sol, form, trials=1000, seed=int(rng.integers(0, 2**31)))
-            best, _ = brute_force_partition_max(form.a_tilde)
+            seed = int(rng.integers(0, 2**31))
+            rounded = round_solution(sol.s_matrix, form, trials=1000, seed=seed)
+            best, _ = brute_force_partition_max(form)
             scale = max(1.0, abs(best))
             # bound sandwich: exhaustive and rounded both sit under the bound
             assert best <= sol.objective + 1e-6 * scale
@@ -71,8 +72,8 @@ class TestRoundSolution:
     def test_deterministic_given_seed(self):
         _, form = make_form(10, 3)
         sol = solve_partition_sdp(form)
-        a = round_solution(sol, form, trials=200, seed=42)
-        b = round_solution(sol, form, trials=200, seed=42)
+        a = round_solution(sol.s_matrix, form, trials=200, seed=42)
+        b = round_solution(sol.s_matrix, form, trials=200, seed=42)
         assert np.array_equal(a.s, b.s)
         assert a.objective == b.objective
 

@@ -51,7 +51,7 @@ class TestSolutionInvariants:
         sol = solve_partition_sdp(form, tol=1e-6)
         assert sol.converged
         assert sol.residuals.diag_deviation <= 1e-6
-        norm = np.linalg.norm(form.a_tilde)
+        norm = np.linalg.norm(form)
         assert sol.residuals.min_eigenvalue >= -1e-6 * (1 + norm)
         assert sol.residuals.duality_gap >= -1e-12
         assert sol.dual_bound >= sol.objective - 1e-12
@@ -60,7 +60,7 @@ class TestSolutionInvariants:
         rng = np.random.default_rng(3)
         form = random_instance(rng, 10)
         sol = solve_partition_sdp(form)
-        tr = float(np.trace(form.a_tilde))
+        tr = float(np.trace(form))
         assert sol.objective >= tr - 1e-6 * max(1.0, tr)
 
     def test_dominates_exhaustive_optimum(self):
@@ -69,7 +69,7 @@ class TestSolutionInvariants:
             m = int(rng.integers(4, 13))
             form = random_instance(rng, m)
             sol = solve_partition_sdp(form)
-            best, _ = brute_force_partition_max(form.a_tilde)
+            best, _ = brute_force_partition_max(form)
             scale = max(1.0, abs(best))
             assert sol.objective >= best - 1e-6 * scale
             # a feasible dual point is a certified upper bound
@@ -80,7 +80,7 @@ class TestSolutionInvariants:
         form = random_instance(rng, 9)
         base = solve_partition_sdp(form)
         for c in (1e-3, 7.0, 1e4):
-            scaled = solve_partition_sdp(c * form.a_tilde)
+            scaled = solve_partition_sdp(c * form)
             assert scaled.objective == pytest.approx(c * base.objective, rel=1e-10)
 
     def test_deterministic(self):

@@ -27,7 +27,7 @@ class TestGolayPair:
         pair = generate_golay_pair(2)
         assert pair.x1.tolist() == [1, 1]
         assert pair.x2.tolist() == [1, -1]
-        total = acf(pair.x1).values + acf(pair.x2).values
+        total = acf(pair.x1) + acf(pair.x2)
         assert total.tolist() == [0, 4, 0]
 
     def test_length_four(self):
@@ -55,23 +55,17 @@ class TestGolayPair:
 
 class TestAcf:
     def test_small_examples(self):
-        assert acf([1, 1]).values.tolist() == [1, 2, 1]
-        assert acf([1, -1]).values.tolist() == [-1, 2, -1]
-        assert acf([1, 1, 1, -1]).values.tolist() == [-1, 0, 1, 4, 1, 0, -1]
-
-    def test_at_accessor(self):
-        r = acf([1, 1, 1, -1])
-        assert r.at(0) == 4
-        assert r.at(3) == -1
-        assert r.at(5) == 0
+        assert acf([1, 1]).tolist() == [1, 2, 1]
+        assert acf([1, -1]).tolist() == [-1, 2, -1]
+        assert acf([1, 1, 1, -1]).tolist() == [-1, 0, 1, 4, 1, 0, -1]
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
     def test_matches_direct_oracle(self, seq):
-        assert np.array_equal(acf(seq).values, acf_direct(seq))
+        assert np.array_equal(acf(seq), acf_direct(seq))
 
     @given(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=40))
     def test_symmetric_with_full_peak(self, seq):
-        vals = acf(seq).values
+        vals = acf(seq)
         assert np.array_equal(vals, vals[::-1])
         assert vals[len(seq) - 1] == len(seq)
 
@@ -201,7 +195,7 @@ class TestWindows:
 def test_golay_doubling_invariant(p):
     n = 2**p
     pair = generate_golay_pair(n)
-    total = acf(pair.x1).values + acf(pair.x2).values
+    total = acf(pair.x1) + acf(pair.x2)
     expected = np.zeros(2 * n - 1, dtype=np.int64)
     expected[n - 1] = 2 * n
     assert np.array_equal(total, expected)
