@@ -11,10 +11,10 @@ composite ambiguity at lag k is then
 with G(theta) = sum w_m e^{j theta m} and F(theta) = sum s_m w_m e^{j theta m}.
 Complementarity kills the first term at every nonzero lag, so range
 sidelobes are proportional to |F| and the zero-lag Doppler profile to |G|.
-Every metric is therefore computed from F and G (one phase matrix per
-call, see ``factors``); the full CAF (``composite_ambiguity``) is built
-only for the caf.csv/caf.svg exports and the tests that check the
-decomposition.
+Every metric is therefore computed from F and G, which ``factors``
+evaluates on the uniform Doppler grid with one FFT; the full CAF
+(``composite_ambiguity``) is built from them, as the rank-2 sum above,
+only for the caf.csv/caf.svg exports.
 
 Metrics: PRSL (peak range sidelobe level per Doppler bin), RSBA (the
 contiguous Doppler interval where PRSL stays below a blanking threshold),
@@ -118,29 +118,14 @@ class CafGrid:
         return abs(self.values[self.zero_lag_index, self.doppler.zero_index])
 
 
-def _phase_matrix(thetas, m: int) -> np.ndarray:
-    phases = 1j * np.outer(thetas, np.arange(m))
-    return np.exp(phases, out=phases)
-
-
 def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid) -> CafGrid:
-    """Evaluate R(k, theta) = sum_m w_m R_{x(m)}[k] e^{j theta m} on the grid.
-
-    Vectorized over (lag, pulse, Doppler); matches the elementwise direct
-    sum to roundoff. Only the CAF exports need it; every metric comes from
-    the factors F and G.
-    """
-    if grid.size == 0:
-        raise ValueError("empty Doppler grid")
-    m = design.m
+    """R(k, theta) = sum_m w_m R_{x(m)}[k] e^{j theta m} on the grid, built as
+    the rank-2 sum (R1+R2)/2 G + (R1-R2)/2 F; only the CAF exports need it."""
     r1 = acf(pair.x1).astype(float)
     r2 = acf(pair.x2).astype(float)
-    # per-pulse autocorrelation selected by the transmit order, (m, 2n-1)
-    per_pulse = np.where((design.transmit_order == 1)[:, None], r1[None, :], r2[None, :])
-    phases = _phase_matrix(grid.points, m)  # (t, m)
-    values = (per_pulse * design.weights[:, None]).T @ phases.T  # (2n-1, t)
-    lags = np.arange(-(pair.n - 1), pair.n)
-    caf = CafGrid(lags=lags, doppler=grid, values=values)
+    f, g, _ = factors(design, grid)
+    values = (0.5 * np.column_stack([r1 + r2, r1 - r2])) @ np.stack([g, f])
+    caf = CafGrid(lags=np.arange(-(pair.n - 1), pair.n), doppler=grid, values=values)
     peak = caf.values[caf.zero_lag_index, grid.zero_index]
     expected = pair.n * float(np.sum(design.weights))
     if abs(peak - expected) > 1e-9 * max(1.0, expected):
@@ -148,17 +133,27 @@ def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid
     return caf
 
 
-def factors(design: DesignResult, thetas) -> np.ndarray:
-    """F, G and the uniform-weight reference G_ref at the Doppler shifts
-    ``thetas``, as the rows of a (3, len(thetas)) array.
+def factors(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
+    """F, G and the uniform-weight reference G_ref on the Doppler grid, as
+    the rows of a (3, grid.size) array.
 
-    One phase matrix times the columns [y, w, 1]: F(theta) = sum y_m
-    e^{j theta m}, G(theta) = sum w_m e^{j theta m}, and G_ref is G for
-    unit weights.
+    F(theta) = sum y_m e^{j theta m}, G(theta) = sum w_m e^{j theta m}, and
+    G_ref is G for unit weights. The grid of ``DopplerGrid.uniform`` has
+    theta_k = -pi + 2 pi k / L, with L = G points for even G and L = G - 1
+    for odd G (whose last point, +pi, repeats the first), so
+    F(theta_k) = sum_m y_m (-1)^m e^{2 pi j k m / L}: one length-L FFT of
+    the columns [y, w, 1] (-1)^m, with pulses folded modulo L when M > L.
     """
-    m = design.m
-    columns = np.column_stack([design.y, design.weights, np.ones(m)])
-    return (_phase_matrix(np.atleast_1d(np.asarray(thetas, dtype=float)), m) @ columns).T
+    if not np.array_equal(grid.points, DopplerGrid.uniform(grid.size).points):
+        raise ValueError("factors need the grid of DopplerGrid.uniform(size)")
+    length = grid.size - grid.size % 2
+    columns = np.stack([design.y, design.weights, np.ones(design.m)])
+    columns[:, 1::2] *= -1.0
+    if design.m > length:
+        columns = np.pad(columns, ((0, 0), (0, -design.m % length)))
+        columns = columns.reshape(3, -1, length).sum(axis=1)
+    values = np.fft.ifft(columns, n=length, axis=1, norm="forward")
+    return values if length == grid.size else np.concatenate([values, values[:, :1]], axis=1)
 
 
 def magnitude_db(values, ref: float | None = None) -> np.ndarray:
@@ -332,7 +327,7 @@ class MetricsReport:
 def compute_metrics(design: DesignResult, pair: GolayPair, grid: DopplerGrid) -> MetricsReport:
     """Evaluate all metrics for a design against a complementary pair, from
     the factors F and G alone; the CAF is never built."""
-    f, g, g_ref = factors(design, grid.points)
+    f, g, g_ref = factors(design, grid)
     curve = prsl_curve(design, pair, f)
     centers = [0.0] + [theta for theta, _ in design.provenance.null_spec.nulls]
     intervals = tuple(rsba(curve, grid, center=c) for c in centers)

@@ -197,7 +197,7 @@ def cmd_analyze(args) -> int:
     n = int(doc["n"])
     grid = DopplerGrid.uniform(args.grid if args.grid else int(doc["grid"]))
     pair = generate_golay_pair(n)
-    f, g, _ = factors(design, grid.points)
+    f, g, _ = factors(design, grid)
     curve = prsl_curve(design, pair, f)
     g_db = magnitude_db(g)
     caf = composite_ambiguity(design, pair, grid)

@@ -85,7 +85,9 @@ def round_solution(
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((trials, M))
     candidates = np.where(r @ factor.T >= 0, 1.0, -1.0)
-    objs = np.einsum("bi,ij,bj->b", candidates, At, candidates)
+    del r  # the draws are spent; free them before scoring
+    # one BLAS product C A_tilde scores every candidate: s_b^T A_tilde s_b
+    objs = np.einsum("bi,bi->b", candidates @ At, candidates)
     best = int(np.argmax(objs))  # argmax takes the first maximum: lowest trial index
     s = candidates[best].astype(np.int64)
     return RoundedSolution(

@@ -23,7 +23,7 @@ from .analysis import CafGrid, DopplerGrid, DopplerInterval, MetricsReport, magn
 from .design import DesignResult, Provenance
 from .nullspec import NullSpec
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:

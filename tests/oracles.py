@@ -72,6 +72,20 @@ def caf_triple_loop(s, w, x1, x2, thetas):
     return out
 
 
+def doppler_factors_direct(y, w, thetas):
+    """F, G and G_ref = sum_m {y_m, w_m, 1} e^{j theta m} at arbitrary
+    Doppler shifts, accumulated one pulse at a time; the rows of a
+    (3, len(thetas)) array."""
+    thetas = np.asarray(thetas, dtype=float)
+    out = np.zeros((3, thetas.size), dtype=complex)
+    for m, (ym, wm) in enumerate(zip(y, w)):
+        carrier = np.exp(1j * thetas * m)
+        out[0] += ym * carrier
+        out[1] += wm * carrier
+        out[2] += carrier
+    return out
+
+
 def gram_schmidt_columns(a):
     """Classic Gram-Schmidt orthonormalization of the columns of a."""
     a = np.array(a, dtype=float)

@@ -21,7 +21,7 @@ from drcw.analysis import (
 from drcw.design import design_bd, design_nm_drcw, design_uniform
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
-from oracles import caf_triple_loop
+from oracles import caf_triple_loop, doppler_factors_direct
 
 
 def random_design(rng, m):
@@ -112,7 +112,7 @@ class TestCompositeAmbiguity:
         # (a length-1 pair has no nonzero lag, hence no sidelobes)
         side = np.delete(np.abs(direct), pair.n - 1, axis=0).max(axis=0, initial=0.0)
         expected = side / (pair.n * np.sum(d.weights))
-        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
+        curve = prsl_curve(d, pair, factors(d, grid)[0])
         got = np.where(curve > DB_FLOOR, 10.0 ** (curve / 20.0), 0.0)
         assert np.max(np.abs(got - expected)) <= 2e-10
 
@@ -127,7 +127,7 @@ class TestCompositeAmbiguity:
         caf = composite_ambiguity(d, pair, grid)
         r1 = acf(pair.x1).astype(float)
         r2 = acf(pair.x2).astype(float)
-        f, g, _ = factors(d, grid.points)
+        f, g, _ = factors(d, grid)
         recomposed = 0.5 * np.outer(r1 + r2, g) + 0.5 * np.outer(r1 - r2, f)
         scale = np.max(np.abs(recomposed))
         assert np.max(np.abs(caf.values - recomposed)) <= 1e-10 * scale
@@ -137,14 +137,14 @@ class TestFactors:
     def test_zero_null_forces_f_zero(self):
         d = design_nm_drcw(16, NullSpec(k0=2), window_template("hamming", 16), trials=50, seed=1)
         grid = DopplerGrid.uniform(64)
-        f = factors(d, grid.points)[0]
+        f = factors(d, grid)[0]
         assert abs(f[grid.zero_index]) <= 1e-10 * 16
 
     def test_uniform_doppler_factor_is_dirichlet(self):
         m = 9
         d = design_uniform(m)
         grid = DopplerGrid.uniform(128)
-        g = np.abs(factors(d, grid.points)[1])
+        g = np.abs(factors(d, grid)[1])
         theta = grid.points
         with np.errstate(divide="ignore", invalid="ignore"):
             expected = np.abs(np.sin(m * theta / 2) / np.sin(theta / 2))
@@ -155,9 +155,27 @@ class TestFactors:
         rng = np.random.default_rng(2)
         d = random_design(rng, 11)
         grid = DopplerGrid.uniform(32)
-        g = factors(d, grid.points)[1]
+        g = factors(d, grid)[1]
         assert g[grid.zero_index].real == pytest.approx(float(np.sum(d.weights)), rel=1e-12)
         assert g[grid.zero_index].imag == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 50, 512])
+    @pytest.mark.parametrize("size", [2, 3, 16, 17, 8192, 8193, 65536])
+    def test_fft_matches_direct_sum(self, size, m):
+        # sizes below m exercise the folding of pulses modulo the FFT length
+        d = random_design(np.random.default_rng(size + m), m)
+        grid = DopplerGrid.uniform(size)
+        got = factors(d, grid)
+        want = doppler_factors_direct(d.y, d.weights, grid.points)
+        assert got.shape == (3, size)
+        scale = float(np.sum(d.weights))
+        assert np.max(np.abs(got[:2] - want[:2])) <= 1e-12 * scale
+        assert np.max(np.abs(got[2] - want[2])) <= 1e-12 * m
+
+    def test_rejects_grid_other_than_uniform(self):
+        sub_band = DopplerGrid(points=0.01 * np.arange(-10, 11))
+        with pytest.raises(ValueError, match="DopplerGrid.uniform"):
+            factors(design_uniform(8), sub_band)
 
 
 class TestPrsl:
@@ -172,21 +190,21 @@ class TestPrsl:
             provenance=Provenance(None, None, None, None, NullSpec(k0=0), None),
         )
         grid = DopplerGrid.uniform(16)
-        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
+        curve = prsl_curve(d, pair, factors(d, grid)[0])
         assert np.allclose(curve, 20 * math.log10(0.5), atol=1e-9)
 
     def test_uniform_alternating_floors_at_zero_doppler(self):
         pair = generate_golay_pair(8)
         d = design_uniform(6)
         grid = DopplerGrid.uniform(64)
-        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
+        curve = prsl_curve(d, pair, factors(d, grid)[0])
         assert curve[grid.zero_index] == DB_FLOOR
 
     def test_bd_curve_shape(self):
         pair = generate_golay_pair(64)
         d = design_bd(50)
         grid = DopplerGrid.uniform(2048)
-        curve = prsl_curve(d, pair, factors(d, grid.points)[0])
+        curve = prsl_curve(d, pair, factors(d, grid)[0])
         z = grid.zero_index
         assert curve[z] == DB_FLOOR
         # blanked zone around zero, rising toward the band edges
@@ -201,7 +219,7 @@ class TestPrsl:
             50, NullSpec(k0=4, nulls=((theta1, 2),)), window_template("hamming", 50),
             trials=200, seed=3,
         )
-        f = factors(d, [0.0, theta1, -theta1])[0]
+        f = doppler_factors_direct(d.y, d.weights, [0.0, theta1, -theta1])[0]
         assert np.all(prsl_curve(d, pair, f) == DB_FLOOR)
 
     def test_prsl_at_matches_grid_curve(self):
@@ -211,7 +229,7 @@ class TestPrsl:
         caf = composite_ambiguity(d, pair, grid)
         side = np.delete(np.abs(caf.values), caf.zero_lag_index, axis=0).max(axis=0)
         curve = magnitude_db(side, ref=caf.peak)
-        vals = prsl_curve(d, pair, factors(d, grid.points)[0])
+        vals = prsl_curve(d, pair, factors(d, grid)[0])
         live = curve > DB_FLOOR
         assert np.array_equal(vals > DB_FLOOR, live)
         assert np.allclose(vals[live], curve[live], atol=1e-9)
@@ -255,14 +273,14 @@ class TestDopplerMetrics:
     def test_dmbr_identical_profiles(self):
         grid = DopplerGrid.uniform(1024)
         d = design_uniform(20)
-        g = np.abs(factors(d, grid.points)[1])
+        g = np.abs(factors(d, grid)[1])
         assert dmbr(g, g, grid) == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_reference_width(self):
         # -3 dB width of the length-m uniform profile is about 0.886 * 2pi/m
         m = 50
         grid = DopplerGrid.uniform(8192)
-        g = np.abs(factors(design_uniform(m), grid.points)[1])
+        g = np.abs(factors(design_uniform(m), grid)[1])
         level = g[grid.zero_index] * 10 ** (-3 / 20)
         above = np.where(g >= level)[0]
         width = grid.points[above.max()] - grid.points[above.min()]
@@ -276,7 +294,7 @@ class TestDopplerMetrics:
 
     def test_pdsl_uniform_matches_dirichlet_sidelobe(self):
         grid = DopplerGrid.uniform(8192)
-        g = np.abs(factors(design_uniform(50), grid.points)[1])
+        g = np.abs(factors(design_uniform(50), grid)[1])
         assert pdsl(g, grid) == pytest.approx(-13.26, abs=0.1)
 
     def test_pdsl_monotone_profile_fails(self):

@@ -170,6 +170,14 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", str(v1)) == 2
         assert run_cli("verify", str(v1)) == 2
         assert "unsupported schema_version 1" in capsys.readouterr().err
+        # version 2 documents carry metrics from the phase-matrix factors,
+        # which differ from the FFT ones by more than verify's tolerance
+        old["schema_version"] = 2
+        v2 = tmp_path / "v2.json"
+        v2.write_text(json.dumps(old))
+        assert run_cli("analyze", str(v2)) == 2
+        assert run_cli("verify", str(v2)) == 2
+        assert "unsupported schema_version 2" in capsys.readouterr().err
 
 
 class TestTableCommand:

@@ -88,6 +88,28 @@ class TestRoundSolution:
         assert rounded.clamped_eigenvalues or rounded.used_rank1_shortcut
 
 
+    @pytest.mark.parametrize("k0", [10, 25])
+    def test_pick_matches_direct_sum_up_to_mirror(self, k0):
+        # A rectangular window with a zero-Doppler null alone gives a
+        # persymmetric form (J A J = A), so s, its reversal Js and -Js score
+        # the same; the BLAS score may break such exact ties differently from
+        # the three-operand direct sum, but must otherwise pick the same s.
+        # Rectangular k0=25 at seeds 12 and 14 were such ties in one run.
+        m, trials = 50, 10000
+        _, form = make_form(m, k0, "rectangular")
+        assert np.allclose(form, form[::-1, ::-1], atol=1e-12)
+        s_matrix = solve_partition_sdp(form).s_matrix
+        lam, vecs = np.linalg.eigh(s_matrix)
+        factor = vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
+        for seed in range(10, 16):
+            r = np.random.default_rng(seed).standard_normal((trials, m))
+            cands = np.where(r @ factor.T >= 0, 1, -1)
+            direct = cands[int(np.argmax(np.einsum("bi,ij,bj->b", cands, form, cands)))]
+            picked = round_solution(s_matrix, form, trials=trials, seed=seed).s
+            mirrors = (direct, direct[::-1], -direct[::-1])
+            assert any(np.array_equal(picked, c) for c in mirrors), seed
+
+
 class TestRecoverAmplitudes:
     def test_identity_basis_reproduces_signs(self):
         basis = constraint_basis(NullSpec(k0=0), 5)
