@@ -153,15 +153,31 @@ def curve_csv(grid: DopplerGrid, values, column: str) -> str:
 
 def caf_csv(caf: CafGrid) -> str:
     """Long-form CAF export: one row per (lag, theta) with the complex value
-    and its magnitude in dB relative to the global peak."""
+    and its magnitude in dB relative to the global peak.
+
+    Each lag's block of text is formatted once per distinct (CAF row, dB
+    row) pair of bytes; a repeated pair reuses the first block with only the
+    lag prefix swapped, so the text is the same as formatting every row.
+    Rows repeat because the pair is complementary: at k != 0 the row is
+    (R1-R2)[k]/2 * F, and the integer (R1-R2)[k]/2 takes few values (13
+    distinct rows of 127 at N=64).
+    """
     thetas = [f"{t:.12g}" for t in caf.doppler.points.tolist()]
     db = magnitude_db(caf.values, ref=caf.peak)
     parts = ["lag,theta_rad,re,im,mag_db\n"]
+    blocks: dict[bytes, tuple[int, str]] = {}
     for lag, row, row_db in zip(caf.lags.tolist(), caf.values, db):
-        parts.append("".join(
-            f"{lag},{t},{v.real:.12g},{v.imag:.12g},{d:.12g}\n"
-            for t, v, d in zip(thetas, row.tolist(), row_db.tolist())
-        ))
+        key = row.tobytes() + row_db.tobytes()
+        if key in blocks:
+            lag0, block = blocks[key]
+            block = ("\n" + block).replace(f"\n{lag0},", f"\n{lag},")[1:]
+        else:
+            block = "".join(
+                f"{lag},{t},{v.real:.12g},{v.imag:.12g},{d:.12g}\n"
+                for t, v, d in zip(thetas, row.tolist(), row_db.tolist())
+            )
+            blocks[key] = (lag, block)
+        parts.append(block)
     return "".join(parts)
 
 
@@ -238,18 +254,16 @@ def svg_heatmap(caf: CafGrid, title: str, db_min: float = -100.0, max_cols: int 
     mags = np.abs(caf.values)
     n_cols = mags.shape[1]
     stride = max(1, int(math.ceil(n_cols / max_cols)))
-    pooled = np.array(
-        [mags[:, j : j + stride].max(axis=1) for j in range(0, n_cols, stride)]
-    ).T
+    pooled = np.maximum.reduceat(mags, np.arange(0, n_cols, stride), axis=1)
     db = np.clip(magnitude_db(pooled, ref=caf.peak), db_min, 0.0)
+    # 0 dB -> black, db_min -> white; np.rint rounds half to even, as round does
+    levels = np.rint(255 * db / db_min).astype(int).tolist()
     rows, cols = db.shape
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / cols, ph / rows
     parts = _svg_header(title)
     for i in range(rows):
-        for j in range(cols):
-            # 0 dB -> black, db_min -> white
-            level = int(round(255 * (db[i, j] - 0.0) / (db_min - 0.0)))
+        for j, level in enumerate(levels[i]):
             parts.append(
                 f'<rect x="{_ML + j * cw:.2f}" y="{_MT + i * ch:.2f}" '
                 f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '

@@ -19,7 +19,6 @@ from drcw import (
     design_nm_drcw,
     design_ptm,
     design_uniform,
-    factors,
     generate_golay_pair,
     prsl_curve,
     round_solution,
@@ -30,8 +29,8 @@ from drcw import (
 from drcw.analysis import DB_FLOOR
 from drcw.document import build_document, dumps_document
 from drcw.nullspec import constraint_basis, quadratic_form
-from drcw.sequences import acf
 from oracles import (
+    acf_direct,
     brute_force_partition_max,
     caf_triple_loop,
     division_remainder,
@@ -289,10 +288,10 @@ def test_criterion_7_caf_oracle():
         direct = caf_triple_loop(s, w, pair.x1.tolist(), pair.x2.tolist(), grid.points)
         scale = float(np.max(np.abs(direct)))
         worst = max(worst, float(np.max(np.abs(caf.values - direct))) / scale)
-        # decomposition identity against the factor functions
-        r1 = acf(pair.x1).astype(float)
-        r2 = acf(pair.x2).astype(float)
-        f, g, _ = factors(design, grid)
+        # decomposition identity with ACFs and factors from direct sums
+        r1 = acf_direct(pair.x1.tolist()).astype(float)
+        r2 = acf_direct(pair.x2.tolist()).astype(float)
+        f, g, _ = doppler_factors_direct(design.y, design.weights, grid.points)
         recomposed = 0.5 * np.outer(r1 + r2, g) + 0.5 * np.outer(r1 - r2, f)
         worst = max(worst, float(np.max(np.abs(caf.values - recomposed))) / scale)
     ok = worst <= 1e-10

@@ -21,7 +21,7 @@ from drcw.analysis import (
 from drcw.design import design_bd, design_nm_drcw, design_uniform
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
-from oracles import caf_triple_loop, doppler_factors_direct
+from oracles import acf_direct, caf_triple_loop, doppler_factors_direct
 
 
 def random_design(rng, m):
@@ -117,17 +117,16 @@ class TestCompositeAmbiguity:
         assert np.max(np.abs(got - expected)) <= 2e-10
 
     def test_decomposition_identity(self):
-        # R(k,theta) = (R1+R2)/2 G + (R1-R2)/2 F, via the factor functions
-        from drcw.sequences import acf
-
+        # R(k,theta) = (R1+R2)/2 G + (R1-R2)/2 F, with the ACFs and the
+        # factors taken from direct sums rather than the FFT path
         pair = generate_golay_pair(8)
         rng = np.random.default_rng(5)
         d = random_design(rng, 7)
         grid = DopplerGrid.uniform(64)
         caf = composite_ambiguity(d, pair, grid)
-        r1 = acf(pair.x1).astype(float)
-        r2 = acf(pair.x2).astype(float)
-        f, g, _ = factors(d, grid)
+        r1 = acf_direct(pair.x1.tolist()).astype(float)
+        r2 = acf_direct(pair.x2.tolist()).astype(float)
+        f, g, _ = doppler_factors_direct(d.y, d.weights, grid.points)
         recomposed = 0.5 * np.outer(r1 + r2, g) + 0.5 * np.outer(r1 - r2, f)
         scale = np.max(np.abs(recomposed))
         assert np.max(np.abs(caf.values - recomposed)) <= 1e-10 * scale
