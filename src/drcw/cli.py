@@ -70,7 +70,6 @@ def _add_common(
     if seeded:
         p.add_argument("--seed", type=int, default=0, help="randomization seed (default 0)")
         p.add_argument("--trials", type=int, default=1000, help="rounding trials (default 1000)")
-        p.add_argument("--tol", type=float, default=1e-6, help="solver tolerance (default 1e-6)")
         p.add_argument("--max-iter", type=int, default=5000, help="solver iteration budget")
 
 
@@ -141,7 +140,6 @@ def _design_from_args(args) -> tuple:
             window,
             trials=args.trials,
             seed=args.seed,
-            tol=args.tol,
             max_iter=args.max_iter,
             collect_solver_trace=bool(args.trace),
         )
@@ -253,7 +251,6 @@ def _table_rows(args) -> list[dict]:
                 window,
                 trials=args.trials,
                 seed=args.seed,
-                tol=args.tol,
                 max_iter=args.max_iter,
             )
             metrics = compute_metrics(design, pair, grid)

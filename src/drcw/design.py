@@ -5,12 +5,12 @@ The designed object is a length-M vector y whose polynomial carries the
 requested Doppler nulls, split as transmit order s = sign(y) and receive
 weights w = abs(y). The pipeline is
 
-    nulls -> orthonormal basis of the annihilator's multiples -> quadratic form
+    nulls -> orthonormal basis P of the moment conditions -> quadratic form
           -> SDP relaxation -> randomized rounding -> amplitude recovery,
 
 where rounding extracts a sign vector from the relaxation by Gaussian
 hyperplane sampling and amplitude recovery projects the windowed sign
-vector back onto the null-constrained subspace.
+vector onto the null-constrained subspace, the orthogonal complement of P.
 
 Baselines: alternating order with binomial weights (order M-1 null at zero
 Doppler), the Prouhet-Thue-Morse order with unit weights (order log2(M)
@@ -27,6 +27,10 @@ import numpy as np
 from .nullspec import NullSpec, constraint_basis, max_null_violation, quadratic_form
 from .sdp import SolverFailure, solve_partition_sdp
 from .sequences import WindowTemplate, binomial_weights, ptm_order
+
+
+# S is treated as rank one when its top eigenvalue is this many times the rest
+RANK1_RATIO = 1e8
 
 
 class DesignFailure(RuntimeError):
@@ -51,12 +55,11 @@ def round_solution(
     a_tilde: np.ndarray,
     trials: int,
     seed: int,
-    mu: float = 1e8,
 ) -> RoundedSolution:
     """Extract a sign vector from the relaxation matrix S (M x M) for the
     objective s^T A_tilde s.
 
-    If the top eigenvalue dominates the rest by the factor ``mu`` the
+    If the top eigenvalue dominates the rest by the factor ``RANK1_RATIO`` the
     solution is treated as rank one and the leading eigenvector's sign
     pattern is returned directly. Otherwise S is factored as V V^T and
     ``trials`` Gaussian vectors r produce candidates sign(V r); the
@@ -65,8 +68,6 @@ def round_solution(
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    if mu <= 0:
-        raise ValueError(f"mu must be positive, got {mu}")
     S = np.asarray(s_matrix, dtype=float)
     At = np.asarray(a_tilde, dtype=float)
     M = S.shape[0]
@@ -76,7 +77,7 @@ def round_solution(
 
     clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
     tail = float(np.sum(lam[1:]))
-    if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= mu:
+    if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
         s = _sign_pm1(vecs[:, 0])
         obj = float(s @ At @ s)
         return RoundedSolution(s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped)
@@ -98,33 +99,28 @@ def round_solution(
     )
 
 
-def recover_amplitudes(
-    s_hat, a_bar: np.ndarray, window: WindowTemplate
-) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal in-subspace amplitudes for a fixed sign pattern, given the
-    orthonormal basis A_bar (m x (m-K)) of the null-constrained subspace.
-
-    b_hat = alpha * A_bar^T Diag(w) s with alpha chosen so ||b_hat||^2 = M,
-    and y_hat = A_bar b_hat, the projection of Diag(w) s onto the
-    null-constrained subspace, rescaled to ||y_hat||^2 = M.
+def recover_amplitudes(s_hat, p: np.ndarray, window: WindowTemplate) -> np.ndarray:
+    """Optimal admissible amplitudes y = (I - P P^T) Diag(w) s for a fixed
+    sign pattern, rescaled to ||y||^2 = M, given the orthonormal basis P
+    (m x K) of the moment conditions. The projection is applied twice, so
+    cancellation when ||y|| << ||Diag(w) s|| leaves no component along P.
     """
-    m = len(a_bar)
+    m = len(p)
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
     s = np.asarray(s_hat, dtype=float)
     if s.shape != (m,):
         raise ValueError(f"sign vector must have shape ({m},)")
-    t = a_bar.T @ (window.values * s)
-    nrm = float(np.linalg.norm(t))
-    if nrm < 1e-12 * math.sqrt(m):
+    y = window.values * s
+    y -= p @ (p.T @ y)
+    if np.linalg.norm(y) < 1e-12 * math.sqrt(m):
         raise DesignFailure(
             "window is numerically orthogonal to the signed constraint "
             "subspace; no amplitudes can be recovered"
         )
-    b_hat = (math.sqrt(m) / nrm) * t
-    y = a_bar @ b_hat
+    y -= p @ (p.T @ y)
     y *= math.sqrt(m) / np.linalg.norm(y)
-    return b_hat, y
+    return y
 
 
 @dataclass(frozen=True)
@@ -160,7 +156,6 @@ def design_nm_drcw(
     window: WindowTemplate,
     trials: int = 1000,
     seed: int = 0,
-    tol: float = 1e-6,
     max_iter: int = 5000,
     collect_solver_trace: bool = False,
 ) -> DesignResult:
@@ -177,18 +172,16 @@ def design_nm_drcw(
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
-    a_bar = constraint_basis(spec, m)
-    a_tilde = quadratic_form(a_bar, window)
-    solution = solve_partition_sdp(
-        a_tilde, tol=tol, max_iter=max_iter, collect_trace=collect_solver_trace
-    )
+    p = constraint_basis(spec, m)
+    a_tilde = quadratic_form(p, window)
+    solution = solve_partition_sdp(a_tilde, max_iter=max_iter, collect_trace=collect_solver_trace)
     if not solution.converged:
         raise SolverFailure(
             "relaxation did not converge: gap "
             f"{solution.residuals.duality_gap:.3e} after {solution.iterations} iterations"
         )
     rounded = round_solution(solution.s_matrix, a_tilde, trials=trials, seed=seed)
-    _, y = recover_amplitudes(rounded.s, a_bar, window)
+    y = recover_amplitudes(rounded.s, p, window)
 
     warnings = []
     if rounded.clamped_eigenvalues:

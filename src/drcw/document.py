@@ -155,23 +155,24 @@ def caf_csv(caf: CafGrid) -> str:
     """Long-form CAF export: one row per (lag, theta) with the complex value
     and its magnitude in dB relative to the global peak.
 
-    Each lag's block of text is formatted once per distinct (CAF row, dB
-    row) pair of bytes; a repeated pair reuses the first block with only the
-    lag prefix swapped, so the text is the same as formatting every row.
-    Rows repeat because the pair is complementary: at k != 0 the row is
-    (R1-R2)[k]/2 * F, and the integer (R1-R2)[k]/2 takes few values (13
-    distinct rows of 127 at N=64).
+    Each lag's block of text is formatted once per distinct CAF row of
+    bytes, and only then are its dB levels computed (they are a function of
+    the row, with the reference fixed at the global peak); a repeated row
+    reuses the first block with only the lag prefix swapped, so the text is
+    the same as formatting every row. Rows repeat because the pair is
+    complementary: at k != 0 the row is (R1-R2)[k]/2 * F, and the integer
+    (R1-R2)[k]/2 takes few values (13 distinct rows of 127 at N=64).
     """
     thetas = [f"{t:.12g}" for t in caf.doppler.points.tolist()]
-    db = magnitude_db(caf.values, ref=caf.peak)
     parts = ["lag,theta_rad,re,im,mag_db\n"]
     blocks: dict[bytes, tuple[int, str]] = {}
-    for lag, row, row_db in zip(caf.lags.tolist(), caf.values, db):
-        key = row.tobytes() + row_db.tobytes()
+    for lag, row in zip(caf.lags.tolist(), caf.values):
+        key = row.tobytes()
         if key in blocks:
             lag0, block = blocks[key]
             block = ("\n" + block).replace(f"\n{lag0},", f"\n{lag},")[1:]
         else:
+            row_db = magnitude_db(row, ref=caf.peak)
             block = "".join(
                 f"{lag},{t},{v.real:.12g},{v.imag:.12g},{d:.12g}\n"
                 for t, v, d in zip(thetas, row.tolist(), row_db.tolist())

@@ -1,20 +1,19 @@
-"""Doppler null specifications and the induced convolution-subspace algebra.
+"""Doppler null specifications as moment conditions, and their quadratic form.
 
 A null specification asks the range-sidelobe factor F(theta) = sum y_m e^{j theta m}
-to vanish to prescribed orders at theta = 0 and at mirror pairs +/-theta_i.
-Equivalently, the polynomial y(z) must be divisible by the annihilator
+to vanish to prescribed orders at theta = 0 and at mirror pairs +/-theta_i:
+sum_m m^p z^m y_m = 0 for p below the order at each root z = e^{j theta} of
+the annihilator (1 - z)^k0 prod_i (1 - 2 z cos(theta_i) + z^2)^k_i. For real
+y these are K = k0 + 2 sum(k_i) real conditions; their span has the
+orthonormal basis P (M x K), the admissible y are those with P^T y = 0, and
+the optimizer consumes the form Diag(w) (I - P P^T) Diag(w).
 
-    a(z) = (1 - z)^k0 * prod_i (1 - 2 z cos(theta_i) + z^2)^k_i,
-
-so y = a (x) b for some free coefficient vector b. An orthonormal basis
-A_bar of that subspace and the weighted quadratic form
-Diag(w) A_bar A_bar^T Diag(w) are what the waveform optimizer consumes.
-
-The full convolution matrix is very ill conditioned at high null orders
-(kappa ~ 1e10 at m = 50), so A_bar is never taken from it. It is built in
-float64 one factor of a(z) at a time: each (1 - z) or quadratic factor is
-convolved into the current orthonormal basis, which is then
-re-orthonormalized by QR.
+P comes from an Arnoldi chain in the manner of "Vandermonde with Arnoldi"
+(Brubeck, Nakatsukasa & Trefethen, SIAM Review 63(2), 2021): no power m^p
+is formed, and the step from one root to the next never divides by their
+difference, so close roots (a small theta beside a high-order null at zero,
+or two close thetas), whose vectors m^p z^m are nearly dependent, cost no
+accuracy.
 """
 
 from __future__ import annotations
@@ -67,22 +66,17 @@ class NullSpec:
             )
 
 
-def _factors(spec: NullSpec):
-    """The annihilator's factors in application order: (1 - z) k0 times,
-    then (1 - 2 z cos(theta_i) + z^2) k_i times per null in spec order."""
-    for _ in range(spec.k0):
-        yield (1.0, -1.0)
-    for theta, k in spec.nulls:
-        for _ in range(k):
-            yield (1.0, -2.0 * math.cos(theta), 1.0)
-
-
 def constraint_basis(spec: NullSpec, m: int) -> np.ndarray:
-    """Orthonormal basis A_bar (m x (m-K)) of {a (x) b : b in R^(m-K)} for
-    the annihilator a of ``spec``, with K its total null order, built one
-    factor at a time from the identity on R^(m-K).
+    """Orthonormal basis P (m x K) of the moment conditions of ``spec``, K
+    its total null order: y carries the requested nulls iff P^T y = 0.
 
-    Raises when K > m-1, which would leave no free coefficients.
+    The complex chain visits the roots z in the order 1 (k0 times), then
+    e^{+j theta_i} and e^{-j theta_i} (k_i times each) per null. It starts
+    from z^m; each step runs the last column q through u_{n+1} = z u_n + q_n
+    (u_0 = 0) at the next root, orthogonalizes u twice against the chain and
+    normalizes it. P is the leading K left singular vectors of [Re Q, Im Q].
+
+    Raises when K > m-1, which would leave no admissible y.
     """
     K = spec.total_order
     if K >= m:
@@ -90,23 +84,33 @@ def constraint_basis(spec: NullSpec, m: int) -> np.ndarray:
             f"null order K={K} with m={m} pulses violates K <= M-1; "
             "reduce the requested null orders"
         )
-    q = np.eye(m - K)
-    for factor in _factors(spec):
-        rows = q.shape[0]
-        conv = np.zeros((rows + len(factor) - 1, q.shape[1]))
-        for i, c in enumerate(factor):
-            conv[i : i + rows] += c * q
-        q, _ = np.linalg.qr(conv)
-    return q
+    if K == 0:
+        return np.zeros((m, 0))
+    angles = [0.0] * spec.k0
+    for theta, k in spec.nulls:
+        angles += [theta] * k + [-theta] * k
+    n = np.arange(m)
+    q = np.empty((m, K), dtype=complex)
+    for j, angle in enumerate(angles):
+        u = np.exp(1j * angle * n)  # z^m
+        if j > 0:
+            # the recurrence in closed form, times the unit z: z^m sum_{i<m} z^-i q_i
+            u[1:] *= np.cumsum(u.conj() * q[:, j - 1])[:-1]
+            u[0] = 0.0
+        for _ in range(2):
+            u -= q[:, :j] @ (q[:, :j].conj().T @ u)
+        q[:, j] = u / np.linalg.norm(u)
+    return np.linalg.svd(np.hstack([q.real, q.imag]), full_matrices=False)[0][:, :K]
 
 
-def quadratic_form(a_bar: np.ndarray, window: WindowTemplate) -> np.ndarray:
-    """Symmetric PSD matrix A_tilde = Diag(w) A_bar A_bar^T Diag(w) (m x m)
-    of the two-way partitioning objective."""
-    if window.m != len(a_bar):
-        raise ValueError(f"window length {window.m} does not match pulse count {len(a_bar)}")
+def quadratic_form(p: np.ndarray, window: WindowTemplate) -> np.ndarray:
+    """Symmetric PSD matrix A_tilde = Diag(w) (I - P P^T) Diag(w) (m x m) of
+    the two-way partitioning objective, for the basis P of the conditions."""
+    if window.m != len(p):
+        raise ValueError(f"window length {window.m} does not match pulse count {len(p)}")
     w = window.values
-    at = (w[:, None] * a_bar) @ (a_bar.T * w[None, :])
+    wp = w[:, None] * p
+    at = np.diag(w * w) - wp @ wp.T
     return (at + at.T) / 2.0
 
 

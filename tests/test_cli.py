@@ -65,6 +65,22 @@ class TestDesignCommand:
         assert doc["objective"] <= doc["sdp_bound"] + 1e-6
         assert doc["seed"] == 5
 
+    def test_high_order_zero_null_beside_theta_null(self, tmp_path):
+        # k0 = 40 plus an order-10 null pair at 0.8 pi on 128 pulses
+        out = tmp_path / "d.json"
+        code = run_cli(
+            "design", "nm", "--m", "128", "--n", "8", "--k0", "40",
+            "--null", "0.8pi:10", "--window", "hamming", "--trials", "200",
+            "--grid", "512", "-o", str(out),
+        )
+        assert code == 0
+        assert run_cli("verify", str(out)) == 0
+
+    @pytest.mark.parametrize("command", (["design", "nm", "--m", "16"], ["table", "--k0", "4"]))
+    def test_tol_option_is_gone(self, command, capsys):
+        assert run_cli(*command, "--tol", "1e-6") == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
     def test_ptm_non_power_of_two_is_usage_error(self, capsys):
         assert run_cli("design", "ptm", "--m", "48") == 2
         assert "power of two" in capsys.readouterr().err

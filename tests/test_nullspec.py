@@ -82,15 +82,14 @@ class TestConstraintBasis:
     def test_first_difference_matrix(self):
         A = convolution_matrix(1, (), 3)
         assert np.array_equal(A, [[1, 0], [-1, 1], [0, -1]])
-        a_bar = constraint_basis(NullSpec(k0=1), 3)
-        assert a_bar.shape == (3, 2)
-        assert 3 - a_bar.shape[1] == 1  # null order K
-        assert np.allclose(_projector(a_bar), _projector(gram_schmidt_columns(A)), atol=1e-15)
+        p = constraint_basis(NullSpec(k0=1), 3)
+        assert p.shape == (3, 1)  # K = 1 moment condition: sum y = 0
+        complement = np.eye(3) - _projector(gram_schmidt_columns(A))
+        assert np.allclose(_projector(p), complement, atol=1e-15)
 
     def test_identity_case(self):
-        a_bar = constraint_basis(NullSpec(k0=0), 4)
-        assert np.array_equal(a_bar, np.eye(4))
-        assert 4 - a_bar.shape[1] == 0  # null order K
+        p = constraint_basis(NullSpec(k0=0), 4)
+        assert p.shape == (4, 0)  # no conditions: every y is admissible
 
     def test_matrix_performs_convolution(self):
         A = convolution_matrix(2, (), 5)
@@ -98,8 +97,8 @@ class TestConstraintBasis:
         expected = convolve_direct([1.0, -2.0, 1.0], b)
         assert np.allclose(A @ b, expected, atol=1e-15)
         assert expected.tolist() == [1.0, -1.0, 0.0, -1.0, 1.0]
-        q = constraint_basis(NullSpec(k0=2), 5)
-        assert np.allclose(q @ (q.T @ expected), expected, atol=1e-14)
+        p = constraint_basis(NullSpec(k0=2), 5)
+        assert np.max(np.abs(p.T @ expected)) <= 1e-14
 
     def test_rejects_order_overflow(self):
         with pytest.raises(ValueError, match="K <= M-1"):
@@ -117,47 +116,49 @@ class TestConstraintBasis:
         ],
     )
     def test_orthonormal_and_same_span(self, spec, m):
-        q = constraint_basis(spec, m)
-        assert q.shape == (m, m - spec.total_order)
-        gram = q.T @ q
-        assert np.max(np.abs(gram - np.eye(q.shape[1]))) <= 1e-10
-        # every column of A projects onto span(a_bar) with tiny residual
+        p = constraint_basis(spec, m)
+        assert p.shape == (m, spec.total_order)
+        gram = p.T @ p
+        assert np.max(np.abs(gram - np.eye(p.shape[1]))) <= 1e-10
+        # every multiple of the annihilator is orthogonal to span(P); with K
+        # columns, span(P) is the whole orthogonal complement of span(A)
         A = convolution_matrix(spec.k0, spec.nulls, m)
-        proj = q @ (q.T @ A)
-        resid = np.linalg.norm(A - proj, axis=0) / np.linalg.norm(A, axis=0)
+        resid = np.linalg.norm(p.T @ A, axis=0) / np.linalg.norm(A, axis=0)
         assert float(resid.max()) <= 1e-10
 
 
 class TestQuadraticForm:
     def test_rectangular_gives_projector(self):
-        basis = constraint_basis(NullSpec(k0=4), 12)
-        at = quadratic_form(basis, window_template("rectangular", 12))
-        assert np.max(np.abs(at - at.T)) <= 1e-12
+        p = constraint_basis(NullSpec(k0=4), 12)
+        at = quadratic_form(p, window_template("rectangular", 12))
+        assert np.array_equal(at, at.T)
+        assert np.allclose(at, np.eye(12) - p @ p.T, atol=1e-15)
         assert np.max(np.abs(at @ at - at)) <= 1e-10
         assert np.trace(at) == pytest.approx(12 - 4, abs=1e-9)
 
     def test_hamming_composition_matches_oracle(self):
         # compose Diag(w) Q Q^T Diag(w) from an independent orthonormalization
-        basis = constraint_basis(NullSpec(k0=1), 3)
+        # of the annihilator's multiples, the complement of span(P)
+        p = constraint_basis(NullSpec(k0=1), 3)
         window = window_template("hamming", 3)
-        form = quadratic_form(basis, window)
+        form = quadratic_form(p, window)
         q = gram_schmidt_columns(np.array([[1.0, 0.0], [-1.0, 1.0], [0.0, -1.0]]))
         d = np.diag(window.values)
         expected = d @ q @ q.T @ d
         assert np.allclose(form, expected, atol=1e-12)
 
     def test_psd_and_rank(self):
-        basis = constraint_basis(NullSpec(k0=10), 30)
-        form = quadratic_form(basis, window_template("hamming", 30))
+        p = constraint_basis(NullSpec(k0=10), 30)
+        form = quadratic_form(p, window_template("hamming", 30))
         eig = np.linalg.eigvalsh(form)
         assert eig[0] >= -1e-10 * abs(eig[-1])
         nonzero = np.sum(eig > 1e-10 * eig[-1])
         assert nonzero == 30 - 10
 
     def test_dimension_mismatch(self):
-        basis = constraint_basis(NullSpec(k0=1), 3)
+        p = constraint_basis(NullSpec(k0=1), 3)
         with pytest.raises(ValueError, match="does not match"):
-            quadratic_form(basis, window_template("hamming", 4))
+            quadratic_form(p, window_template("hamming", 4))
 
 
 class TestNullResiduals:
