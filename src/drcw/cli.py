@@ -203,7 +203,8 @@ def cmd_analyze(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "prsl.csv").write_text(doc_io.curve_csv(grid, curve, "prsl_db"), encoding="utf-8")
     (out / "doppler.csv").write_text(doc_io.curve_csv(grid, g_db, "g_db"), encoding="utf-8")
-    (out / "caf.csv").write_text(doc_io.caf_csv(caf), encoding="utf-8")
+    with open(out / "caf.csv", "w", encoding="utf-8") as fh:
+        doc_io.caf_csv(caf, fh)
     written = ["prsl.csv", "doppler.csv", "caf.csv"]
     if args.svg:
         (out / "prsl.svg").write_text(

@@ -7,8 +7,11 @@ metrics. Serialization is deterministic (sorted keys, repr floats) so
 identical runs produce byte-identical files.
 
 CSV exports use a header row, UTF-8, '.' decimal separator, and 12
-significant digits. SVG rendering is presentation sugar derived from the
-same numbers; nothing reads it back.
+significant digits. Each export is formatted from one %-template per
+Doppler grid, with the theta column filled in once. ``caf_csv`` writes
+to an open text stream lag by lag, so its memory follows the distinct
+CAF rows rather than the size of the file. SVG rendering is presentation
+sugar derived from the same numbers; nothing reads it back.
 """
 
 from __future__ import annotations
@@ -147,39 +150,34 @@ def document_to_design(doc: dict) -> DesignResult:
 def curve_csv(grid: DopplerGrid, values, column: str) -> str:
     """Two-column export of a curve over the Doppler grid, e.g. ``column``
     "prsl_db" for the PRSL curve or "g_db" for the Doppler profile."""
-    rows = zip(grid.points.tolist(), np.asarray(values, dtype=float).tolist())
-    return f"theta_rad,{column}\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v in rows)
+    template = "".join(f"{t:.12g},%.12g\n" for t in grid.points.tolist())
+    return f"theta_rad,{column}\n" + template % tuple(np.asarray(values, dtype=float).tolist())
 
 
-def caf_csv(caf: CafGrid) -> str:
-    """Long-form CAF export: one row per (lag, theta) with the complex value
-    and its magnitude in dB relative to the global peak.
+def caf_csv(caf: CafGrid, out) -> None:
+    """Write the long-form CAF export to the text stream ``out``: one row
+    per (lag, theta) with the complex value and its magnitude in dB
+    relative to the global peak.
 
-    Each lag's block of text is formatted once per distinct CAF row of
-    bytes, and only then are its dB levels computed (they are a function of
-    the row, with the reference fixed at the global peak); a repeated row
-    reuses the first block with only the lag prefix swapped, so the text is
-    the same as formatting every row. Rows repeat because the pair is
-    complementary: at k != 0 the row is (R1-R2)[k]/2 * F, and the integer
-    (R1-R2)[k]/2 takes few values (13 distinct rows of 127 at N=64).
+    The file is written lag by lag. Each distinct CAF row of bytes is
+    formatted once, with its dB levels (a function of the row, as the
+    reference is fixed at the global peak), from one template whose theta
+    column is filled in once per grid. Its text is kept without the lag
+    prefix, which is added as each lag is written. Rows repeat because the
+    pair is complementary: at k != 0 the row is (R1-R2)[k]/2 * F, and the
+    integer (R1-R2)[k]/2 takes few values (13 distinct rows of 127 at
+    N=64), so memory follows the distinct rows, not the size of the file.
     """
-    thetas = [f"{t:.12g}" for t in caf.doppler.points.tolist()]
-    parts = ["lag,theta_rad,re,im,mag_db\n"]
-    blocks: dict[bytes, tuple[int, str]] = {}
+    template = "\n".join(f"{t:.12g},%.12g,%.12g,%.12g" for t in caf.doppler.points.tolist())
+    out.write("lag,theta_rad,re,im,mag_db\n")
+    rows: dict[bytes, list[str]] = {}
     for lag, row in zip(caf.lags.tolist(), caf.values):
         key = row.tobytes()
-        if key in blocks:
-            lag0, block = blocks[key]
-            block = ("\n" + block).replace(f"\n{lag0},", f"\n{lag},")[1:]
-        else:
-            row_db = magnitude_db(row, ref=caf.peak)
-            block = "".join(
-                f"{lag},{t},{v.real:.12g},{v.imag:.12g},{d:.12g}\n"
-                for t, v, d in zip(thetas, row.tolist(), row_db.tolist())
-            )
-            blocks[key] = (lag, block)
-        parts.append(block)
-    return "".join(parts)
+        lines = rows.get(key)
+        if lines is None:
+            cells = np.stack([row.real, row.imag, magnitude_db(row, ref=caf.peak)], axis=1)
+            lines = rows[key] = (template % tuple(cells.ravel().tolist())).split("\n")
+        out.write(f"{lag}," + f"\n{lag},".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +218,10 @@ def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str, y_floor: float |
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    # px and py on whole arrays do the scalar operations in the same order,
+    # so every coordinate rounds as it would point by point
+    coords = np.stack([px(xs), py(ys)], axis=1).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
     parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1"/>')
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
@@ -258,18 +259,19 @@ def svg_heatmap(caf: CafGrid, title: str, db_min: float = -100.0, max_cols: int 
     pooled = np.maximum.reduceat(mags, np.arange(0, n_cols, stride), axis=1)
     db = np.clip(magnitude_db(pooled, ref=caf.peak), db_min, 0.0)
     # 0 dB -> black, db_min -> white; np.rint rounds half to even, as round does
-    levels = np.rint(255 * db / db_min).astype(int).tolist()
+    levels = np.rint(255 * db / db_min).astype(int)
     rows, cols = db.shape
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / cols, ph / rows
     parts = _svg_header(title)
-    for i in range(rows):
-        for j, level in enumerate(levels[i]):
-            parts.append(
-                f'<rect x="{_ML + j * cw:.2f}" y="{_MT + i * ch:.2f}" '
-                f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '
-                f'fill="rgb({level},{level},{level})"/>'
-            )
+    # one template per row of cells; "{y}" is swapped for each row's y
+    template = "\n".join(
+        f'<rect x="{_ML + j * cw:.2f}" y="{{y}}" width="{cw + 0.05:.2f}" '
+        f'height="{ch + 0.05:.2f}" fill="rgb(%d,%d,%d)"/>'
+        for j in range(cols)
+    )
+    for i, row in enumerate(np.repeat(levels, 3, axis=1).tolist()):
+        parts.append(template.replace("{y}", f"{_MT + i * ch:.2f}") % tuple(row))
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )

@@ -15,7 +15,8 @@ The implementation is a barrier interior-point method on the dual
 whose Newton machinery is tiny for this constraint structure: with
 Z = Diag(y) - A_tilde, the barrier gradient is t*1 - diag(Z^{-1}) and the
 Hessian is the elementwise square Z^{-1} o Z^{-1}. Each centering step costs
-one Cholesky and one M x M solve. The primal iterate X = Z^{-1}/t is
+one inverse of Z, one M x M solve and the Cholesky tests of its step
+length. The primal iterate X = Z^{-1}/t, from the same inverse, is
 positive definite by construction, and any dual-feasible y certifies the
 upper bound sum(y) >= optimum, so the reported duality gap is certified
 rather than heuristic. Problems are normalized by the Frobenius norm of
@@ -118,11 +119,10 @@ def solve_partition_sdp(
     dobj = float(np.sum(y))
 
     exhausted = False
+    Zinv = np.linalg.inv(np.diag(y) - An)
     for _stage in range(120):
         # Newton centering at the current t
         for _ in range(80):
-            Z = np.diag(y) - An
-            Zinv = np.linalg.inv(Z)
             g = t * ones - np.diag(Zinv)
             H = Zinv * Zinv
             try:
@@ -141,12 +141,15 @@ def solve_partition_sdp(
                 step = 0.0
             y = y + step * dy
             iterations += 1
+            # one inverse per iterate: the primal X_i = Z^{-1}/t below and the
+            # next Newton step both use it
+            Zinv = np.linalg.inv(np.diag(y) - An)
             done = decrement2 < 1e-9 or iterations >= max_iter
             if collect_trace or done:
                 # the trace only observes: its values reach the iterate state
                 # (and so the stopping test) only where an untraced solve
                 # would compute them too
-                X_i = np.linalg.inv(np.diag(y) - An) / t
+                X_i = Zinv / t
                 pobj_i = float(np.sum(An * X_i))
                 dobj_i = float(np.sum(y))
                 if collect_trace:

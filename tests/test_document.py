@@ -1,8 +1,15 @@
+import io
+import math
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, magnitude_db
 from drcw.design import design_bd, design_nm_drcw
-from drcw.document import caf_csv, curve_csv
+from drcw.document import (
+    _H, _MB, _ML, _MR, _MT, _W, _svg_header, caf_csv, curve_csv, svg_heatmap, svg_line_plot,
+)
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
 
@@ -18,12 +25,108 @@ def caf_csv_reference(caf):
     return "\n".join(rows) + "\n"
 
 
+def caf_csv_text(caf) -> str:
+    out = io.StringIO()
+    caf_csv(caf, out)
+    return out.getvalue()
+
+
+def curve_csv_reference(grid, values, column):
+    """curve.csv formatted point by point, one f-string per row."""
+    rows = zip(grid.points.tolist(), np.asarray(values, dtype=float).tolist())
+    return f"theta_rad,{column}\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v in rows)
+
+
+def svg_line_plot_reference(xs, ys, title, xlabel, ylabel, y_floor=None):
+    """The line plot with its pixel coordinates computed and formatted point
+    by point."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if y_floor is not None:
+        ys = np.maximum(ys, y_floor)
+    x0, x1 = float(xs.min()), float(xs.max())
+    y0, y1 = float(ys.min()), float(ys.max())
+    if y1 == y0:
+        y1 = y0 + 1.0
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB
+
+    def px(x):
+        return _ML + (x - x0) / (x1 - x0) * pw
+
+    def py(y):
+        return _MT + (y1 - y) / (y1 - y0) * ph
+
+    parts = _svg_header(title)
+    parts.append(
+        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
+    )
+    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1"/>')
+    for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
+        xv = x0 + frac * (x1 - x0)
+        yv = y0 + frac * (y1 - y0)
+        parts.append(
+            f'<text x="{px(xv):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{xv:.3g}</text>'
+        )
+        parts.append(
+            f'<text x="{_ML - 8}" y="{py(yv):.1f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
+        )
+    parts.append(
+        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{ylabel}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def svg_heatmap_reference(caf, title, db_min=-100.0, max_cols=200):
+    """The heatmap formatted cell by cell."""
+    mags = np.abs(caf.values)
+    n_cols = mags.shape[1]
+    stride = max(1, int(math.ceil(n_cols / max_cols)))
+    pooled = np.maximum.reduceat(mags, np.arange(0, n_cols, stride), axis=1)
+    db = np.clip(magnitude_db(pooled, ref=caf.peak), db_min, 0.0)
+    levels = np.rint(255 * db / db_min).astype(int).tolist()
+    rows, cols = db.shape
+    pw, ph = _W - _ML - _MR, _H - _MT - _MB
+    cw, ch = pw / cols, ph / rows
+    parts = _svg_header(title)
+    for i in range(rows):
+        for j, level in enumerate(levels[i]):
+            parts.append(
+                f'<rect x="{_ML + j * cw:.2f}" y="{_MT + i * ch:.2f}" '
+                f'width="{cw + 0.05:.2f}" height="{ch + 0.05:.2f}" '
+                f'fill="rgb({level},{level},{level})"/>'
+            )
+    parts.append(
+        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
+    )
+    parts.append(
+        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">Doppler shift (rad/pulse)</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">lag</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
 class TestCsvFormat:
     def test_caf_csv_rows(self):
         pair = generate_golay_pair(8)
         grid = DopplerGrid.uniform(17)
         caf = composite_ambiguity(design_bd(5), pair, grid)
-        assert caf_csv(caf) == caf_csv_reference(caf)
+        assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_caf_csv_rows_that_nearly_repeat(self):
         # a row is reused only when its bytes repeat: +0.0 and -0.0 rows, a
@@ -44,7 +147,7 @@ class TestCsvFormat:
         minus_zero = np.full(9, complex(-0.0, -0.0))
         values = np.stack([a, plus_zero, minus_zero, -a, peak, a, ulp_lo, ulp_hi, minus_zero])
         caf = CafGrid(lags=np.arange(-4, 5), doppler=grid, values=values)
-        assert caf_csv(caf) == caf_csv_reference(caf)
+        assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_caf_csv_nm_design_odd_grid(self):
         pair = generate_golay_pair(16)
@@ -52,10 +155,57 @@ class TestCsvFormat:
         d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
         caf = composite_ambiguity(d, pair, grid)
         assert len({row.tobytes() for row in caf.values}) < len(caf.lags)
-        assert caf_csv(caf) == caf_csv_reference(caf)
+        assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_curve_csv_rows(self):
-        grid = DopplerGrid.uniform(17)
-        values = np.linspace(-300.0, 0.0, 17)
-        rows = ["theta_rad,prsl_db"] + [f"{t:.12g},{v:.12g}" for t, v in zip(grid.points, values)]
-        assert curve_csv(grid, values, "prsl_db") == "\n".join(rows) + "\n"
+        for points in (17, 256):
+            grid = DopplerGrid.uniform(points)
+            values = np.linspace(-300.0, 0.0, points)
+            values[1:] += np.random.default_rng(points).standard_normal(points - 1) * 1e-3
+            values[1] = -0.0
+            assert curve_csv(grid, values, "g_db") == curve_csv_reference(grid, values, "g_db")
+
+    def test_caf_csv_memory_follows_distinct_rows(self, tmp_path):
+        # the 127 x 2048 CAF has 13 distinct rows; the file is written lag by
+        # lag, so the text of the whole file is never held at once
+        pair = generate_golay_pair(64)
+        caf = composite_ambiguity(design_bd(50), pair, DopplerGrid.uniform(2048))
+        path = tmp_path / "caf.csv"
+        tracemalloc.start()
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                caf_csv(caf, fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert path.read_text(encoding="utf-8") == caf_csv_reference(caf)
+        assert peak < size / 2
+
+
+class TestSvgFormat:
+    @pytest.mark.parametrize("y_floor", (None, -120.0))
+    def test_line_plot(self, y_floor):
+        grid = DopplerGrid.uniform(513)
+        rng = np.random.default_rng(4)
+        ys = np.concatenate([np.full(13, -300.0), rng.uniform(-140.0, 0.0, 500)])
+        args = (grid.points, ys, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)")
+        assert svg_line_plot(*args, y_floor=y_floor) == svg_line_plot_reference(
+            *args, y_floor=y_floor
+        )
+
+    def test_flat_line_plot(self):
+        # y1 == y0: the plot spans one dB above the flat level
+        grid = DopplerGrid.uniform(64)
+        args = (grid.points, np.full(64, -300.0), "flat", "x", "y")
+        assert svg_line_plot(*args, y_floor=-120.0) == svg_line_plot_reference(
+            *args, y_floor=-120.0
+        )
+
+    def test_heatmap_with_a_partial_last_column(self):
+        # 1001 Doppler points pool by a stride of 6 into 167 columns, the
+        # last of them five points wide
+        pair = generate_golay_pair(16)
+        d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
+        caf = composite_ambiguity(d, pair, DopplerGrid.uniform(1001))
+        assert svg_heatmap(caf, "CAF") == svg_heatmap_reference(caf, "CAF")
