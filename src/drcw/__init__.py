@@ -25,7 +25,6 @@ from .analysis import (
 from .design import (
     DesignFailure,
     DesignResult,
-    Provenance,
     RoundedSolution,
     design_bd,
     design_nm_drcw,
@@ -68,7 +67,6 @@ __all__ = [
     "GolayPair",
     "MetricsReport",
     "NullSpec",
-    "Provenance",
     "RoundedSolution",
     "SdpResiduals",
     "SdpSolution",

@@ -26,7 +26,7 @@ integration gain loss of the weights).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,50 +43,30 @@ BLANKING_THRESHOLD_DB = -60.0
 
 @dataclass(frozen=True)
 class DopplerGrid:
-    """Uniform Doppler grid over [-pi, pi] that contains theta = 0 exactly."""
+    """Uniform Doppler grid of ``size`` points over [-pi, pi]. Even sizes
+    cover [-pi, pi) half-open, odd sizes close at +pi; both hold theta = 0
+    exactly, at ``zero_index`` = size // 2."""
 
-    points: np.ndarray
+    size: int
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 2:
-            raise ValueError("grid needs at least two points")
-        steps = np.diff(pts)
-        if np.any(steps <= 0):
-            raise ValueError("grid points must be strictly increasing")
-        if np.max(np.abs(steps - steps[0])) > 1e-12:
-            raise ValueError("grid must be uniform")
-        if pts[0] < -math.pi - 1e-12 or pts[-1] > math.pi + 1e-12:
-            raise ValueError("grid must lie within [-pi, pi]")
-        if not np.any(pts == 0.0):
-            raise ValueError("grid must contain theta = 0 exactly")
-        object.__setattr__(self, "points", pts)
-
-    @classmethod
-    def uniform(cls, num_points: int = 8192) -> "DopplerGrid":
-        """Even counts cover [-pi, pi) half-open; odd counts close at +pi.
-        Both contain 0 exactly."""
-        if num_points < 2:
-            raise ValueError("num_points must be >= 2")
-        if num_points % 2 == 0:
-            pts = -math.pi + 2.0 * math.pi * np.arange(num_points) / num_points
-            pts[num_points // 2] = 0.0
+        if self.size < 2:
+            raise ValueError(f"Doppler grid needs at least 2 points, got {self.size}")
+        if self.size % 2 == 0:
+            pts = -math.pi + 2.0 * math.pi * np.arange(self.size) / self.size
         else:
-            pts = np.linspace(-math.pi, math.pi, num_points)
-            pts[num_points // 2] = 0.0
-        return cls(points=pts)
+            pts = np.linspace(-math.pi, math.pi, self.size)
+        pts[self.size // 2] = 0.0
+        object.__setattr__(self, "points", pts)
 
     @property
     def resolution(self) -> float:
         return float(self.points[1] - self.points[0])
 
     @property
-    def size(self) -> int:
-        return len(self.points)
-
-    @property
     def zero_index(self) -> int:
-        return int(np.argmin(np.abs(self.points)))
+        return self.size // 2
 
     def index_of(self, theta: float) -> int:
         """Nearest grid index to theta; rejects points off the grid span."""
@@ -138,14 +118,12 @@ def factors(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
     the rows of a (3, grid.size) array.
 
     F(theta) = sum y_m e^{j theta m}, G(theta) = sum w_m e^{j theta m}, and
-    G_ref is G for unit weights. The grid of ``DopplerGrid.uniform`` has
+    G_ref is G for unit weights. Every ``DopplerGrid`` has
     theta_k = -pi + 2 pi k / L, with L = G points for even G and L = G - 1
     for odd G (whose last point, +pi, repeats the first), so
     F(theta_k) = sum_m y_m (-1)^m e^{2 pi j k m / L}: one length-L FFT of
     the columns [y, w, 1] (-1)^m, with pulses folded modulo L when M > L.
     """
-    if not np.array_equal(grid.points, DopplerGrid.uniform(grid.size).points):
-        raise ValueError("factors need the grid of DopplerGrid.uniform(size)")
     length = grid.size - grid.size % 2
     columns = np.stack([design.y, design.weights, np.ones(design.m)])
     columns[:, 1::2] *= -1.0
@@ -329,7 +307,7 @@ def compute_metrics(design: DesignResult, pair: GolayPair, grid: DopplerGrid) ->
     the factors F and G alone; the CAF is never built."""
     f, g, g_ref = factors(design, grid)
     curve = prsl_curve(design, pair, f)
-    centers = [0.0] + [theta for theta, _ in design.provenance.null_spec.nulls]
+    centers = [0.0] + [theta for theta, _ in design.null_spec.nulls]
     intervals = tuple(rsba(curve, grid, center=c) for c in centers)
     g_mag = np.abs(g)
     try:

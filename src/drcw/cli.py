@@ -24,6 +24,7 @@ from .analysis import DopplerGrid, composite_ambiguity, compute_metrics, factors
 from .analysis import magnitude_db, prsl_curve
 from .design import (
     DesignFailure,
+    DesignResult,
     design_bd,
     design_nm_drcw,
     design_ptm,
@@ -33,7 +34,7 @@ from .nullspec import NullSpec, max_null_violation
 from .sdp import SolverFailure
 from .sequences import WINDOW_KINDS, generate_golay_pair, verify_complementary, window_template
 
-_METHOD_ALIASES = {"nm": "nm_drcw", "nm_drcw": "nm_drcw", "ptm": "ptm", "bd": "bd", "uniform": "uniform"}
+_BASELINES = {"bd": design_bd, "ptm": design_ptm, "uniform": design_uniform}
 
 
 def parse_angle(text: str) -> float:
@@ -81,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="design a pulse train and receive weights")
-    p_design.add_argument("method", choices=sorted(_METHOD_ALIASES), help="design method")
+    p_design.add_argument("method", choices=sorted(["nm", *_BASELINES]), help="design method")
     p_design.add_argument("--m", type=int, required=True, help="number of pulses")
     p_design.add_argument("--n", type=int, default=64, help="pair length (default 64)")
     p_design.add_argument("--k0", type=int, default=0, help="null order at zero Doppler")
@@ -128,31 +129,24 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
-def _design_from_args(args) -> tuple:
-    method = _METHOD_ALIASES[args.method]
+def _design_from_args(args) -> DesignResult:
     nulls = tuple(parse_null(t) for t in args.null)
     spec = NullSpec(k0=args.k0, nulls=nulls)
-    if method == "nm_drcw":
-        window = window_template(args.window, args.m)
-        design = design_nm_drcw(
-            args.m,
-            spec,
-            window,
-            trials=args.trials,
-            seed=args.seed,
-            max_iter=args.max_iter,
-            collect_solver_trace=bool(args.trace),
-        )
-    else:
+    if args.method != "nm":
         if args.k0 or nulls or args.trace:
-            raise ValueError(f"--k0/--null/--trace only apply to the nm method, not {method!r}")
-        if method == "ptm":
-            design = design_ptm(args.m)
-        elif method == "bd":
-            design = design_bd(args.m)
-        else:
-            design = design_uniform(args.m)
-    return design
+            raise ValueError(
+                f"--k0/--null/--trace only apply to the nm method, not {args.method!r}"
+            )
+        return _BASELINES[args.method](args.m)
+    return design_nm_drcw(
+        args.m,
+        spec,
+        window_template(args.window, args.m),
+        trials=args.trials,
+        seed=args.seed,
+        max_iter=args.max_iter,
+        collect_solver_trace=bool(args.trace),
+    )
 
 
 def _interval_str(iv) -> str:
@@ -166,20 +160,19 @@ def _interval_str(iv) -> str:
 def cmd_design(args) -> int:
     design = _design_from_args(args)
     if args.trace:
-        rows = design.provenance.solver_trace
+        rows = design.solver_trace
         text = "iteration,objective,certified_gap,diag_deviation\n" + "".join(
             f"{it},{obj:.12g},{gap:.12g},{dev:.12g}\n" for it, obj, gap, dev in rows
         )
         Path(args.trace).write_text(text, encoding="utf-8")
     pair = generate_golay_pair(args.n)
-    grid = DopplerGrid.uniform(args.grid)
+    grid = DopplerGrid(args.grid)
     metrics = compute_metrics(design, pair, grid)
     doc = doc_io.build_document(design, n=args.n, grid_points=args.grid, metrics=metrics)
     doc_io.save_document(doc, args.out)
-    prov = design.provenance
-    print(f"method {design.method}  m={design.m} n={args.n} window={prov.window_kind}")
-    if prov.rounded_objective is not None:
-        print(f"objective {prov.rounded_objective:.6f}  sdp bound {prov.sdp_bound:.6f}")
+    print(f"method {design.method}  m={design.m} n={args.n} window={design.window_kind}")
+    if design.rounded_objective is not None:
+        print(f"objective {design.rounded_objective:.6f}  sdp bound {design.sdp_bound:.6f}")
     print(
         f"NAG {metrics.nag:.2f} dB  DMBR {metrics.dmbr:.1f}%  PDSL {metrics.pdsl:.2f} dB"
     )
@@ -193,7 +186,7 @@ def cmd_analyze(args) -> int:
     doc = doc_io.load_document(args.document)
     design = doc_io.document_to_design(doc)
     n = int(doc["n"])
-    grid = DopplerGrid.uniform(args.grid if args.grid else int(doc["grid"]))
+    grid = DopplerGrid(args.grid if args.grid else int(doc["grid"]))
     pair = generate_golay_pair(n)
     f, g, _ = factors(design, grid)
     curve = prsl_curve(design, pair, f)
@@ -241,7 +234,7 @@ def _table_rows(args) -> list[dict]:
         if k0 > args.m - 1:
             raise ValueError(f"k0={k0} violates k0 <= m-1 for m={args.m}")
     pair = generate_golay_pair(args.n)
-    grid = DopplerGrid.uniform(args.grid)
+    grid = DopplerGrid(args.grid)
     rows = []
     for kind in windows:
         window = window_template(kind, args.m)
@@ -304,6 +297,13 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _metric_numbers(metrics: dict) -> np.ndarray:
+    """Every number of a document's metrics record, in one fixed order."""
+    rsba = [v for iv in metrics["rsba"] for v in (iv["center"], iv["lo"], iv["hi"])]
+    scalars = [metrics["dmbr"], metrics["pdsl"], metrics["nag"]]
+    return np.array(rsba + scalars + list(metrics["prsl_curve"]), dtype=float)
+
+
 def _verify_document(path: str) -> int:
     doc = doc_io.load_document(path)
     failures = []
@@ -329,7 +329,7 @@ def _verify_document(path: str) -> int:
     energy = float(np.sum(design.y * design.y))
     check("energy |y|^2 = m", abs(energy - m) <= 1e-8 * m, f"|y|^2 = {energy:.12g}")
 
-    spec = design.provenance.null_spec
+    spec = design.null_spec
     violation = max_null_violation(design.y, spec)
     check(
         f"null orders (k0={spec.k0}, {len(spec.nulls)} extra)",
@@ -346,27 +346,21 @@ def _verify_document(path: str) -> int:
             f"{obj:.6f} <= {bound:.6f}",
         )
 
-    fresh = compute_metrics(design, pair, DopplerGrid.uniform(int(doc["grid"])))
-    stored = doc_io.metrics_from_dict(doc["metrics"])
+    fresh = doc_io.metrics_to_dict(compute_metrics(design, pair, DopplerGrid(int(doc["grid"]))))
+    stored = doc["metrics"]
     name = "re-analysis reproduces embedded metrics"
-    if len(stored.rsba) != len(fresh.rsba) or stored.prsl_curve.shape != fresh.prsl_curve.shape:
+    stored_counts = (len(stored["rsba"]), len(stored["prsl_curve"]))
+    fresh_counts = (len(fresh["rsba"]), len(fresh["prsl_curve"]))
+    if stored_counts != fresh_counts:
         check(
             name,
             False,
-            f"stored {len(stored.rsba)} RSBA intervals and {stored.prsl_curve.size} PRSL points, "
-            f"expected {len(fresh.rsba)} and {fresh.prsl_curve.size}",
-        )
-    else:
-        dev = max(
-            abs(fresh.dmbr - stored.dmbr),
-            abs(fresh.pdsl - stored.pdsl),
-            abs(fresh.nag - stored.nag),
-            float(np.max(np.abs(fresh.prsl_curve - stored.prsl_curve))),
-            max(
-                max(abs(a.lo - b.lo), abs(a.hi - b.hi))
-                for a, b in zip(fresh.rsba, stored.rsba)
+            "stored {} RSBA intervals and {} PRSL points, expected {} and {}".format(
+                *stored_counts, *fresh_counts
             ),
         )
+    else:
+        dev = float(np.max(np.abs(_metric_numbers(fresh) - _metric_numbers(stored))))
         check(name, dev <= 1e-9, f"max dev {dev:.3e}")
     return 1 if failures else 0
 

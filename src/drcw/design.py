@@ -124,30 +124,32 @@ def recover_amplitudes(s_hat, p: np.ndarray, window: WindowTemplate) -> np.ndarr
 
 
 @dataclass(frozen=True)
-class Provenance:
-    seed: int | None
-    trials: int | None
-    rounded_objective: float | None
-    sdp_bound: float | None
-    null_spec: NullSpec
-    window_kind: str | None
-    warnings: tuple[str, ...] = ()
-    solver_trace: tuple[tuple[int, float, float, float], ...] = field(default=(), repr=False)
-
-
-@dataclass(frozen=True)
 class DesignResult:
-    """Transmit order s, receive weights w, and their product y = s o w."""
+    """The designed vector y and how it was made. Transmit order s = sign(y)
+    and receive weights w = abs(y) are read off y, so y = s o w."""
 
-    transmit_order: np.ndarray
-    weights: np.ndarray
     y: np.ndarray
     method: str
-    provenance: Provenance
+    null_spec: NullSpec
+    window_kind: str | None = None
+    seed: int | None = None
+    trials: int | None = None
+    rounded_objective: float | None = None
+    sdp_bound: float | None = None
+    warnings: tuple[str, ...] = ()
+    solver_trace: tuple[tuple[int, float, float, float], ...] = field(default=(), repr=False)
 
     @property
     def m(self) -> int:
         return len(self.y)
+
+    @property
+    def transmit_order(self) -> np.ndarray:
+        return _sign_pm1(self.y)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return np.abs(self.y)
 
 
 def design_nm_drcw(
@@ -162,13 +164,12 @@ def design_nm_drcw(
     """Null-constrained transmit/receive design via relaxation and rounding.
 
     Chains constraint basis -> quadratic form -> SDP ->
-    rounding -> amplitude recovery, then splits y into sign and magnitude.
+    rounding -> amplitude recovery; y carries its own sign and magnitude.
     Raises SolverFailure when the relaxation does not converge and
     DesignFailure on degenerate amplitude recovery.
     """
     if m < 2:
         raise ValueError(f"pulse count must be >= 2, got {m}")
-    spec.validate_for(m)
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
@@ -188,20 +189,16 @@ def design_nm_drcw(
         warnings.append("relaxation matrix had eigenvalues clamped to zero for rounding")
 
     result = DesignResult(
-        transmit_order=_sign_pm1(y),
-        weights=np.abs(y),
         y=y,
         method="nm_drcw",
-        provenance=Provenance(
-            seed=seed,
-            trials=trials,
-            rounded_objective=rounded.objective,
-            sdp_bound=solution.dual_bound,
-            null_spec=spec,
-            window_kind=window.kind,
-            warnings=tuple(warnings),
-            solver_trace=solution.trace,
-        ),
+        null_spec=spec,
+        window_kind=window.kind,
+        seed=seed,
+        trials=trials,
+        rounded_objective=rounded.objective,
+        sdp_bound=solution.dual_bound,
+        warnings=tuple(warnings),
+        solver_trace=solution.trace,
     )
     violation = max_null_violation(y, spec)
     if violation > 1e-8 * m:
@@ -221,13 +218,7 @@ def _alternating(m: int) -> np.ndarray:
 
 def _baseline(method: str, s: np.ndarray, w: np.ndarray, k0: int) -> DesignResult:
     """A fixed design y = s o w whose only null is order k0 at zero Doppler."""
-    return DesignResult(
-        transmit_order=s,
-        weights=w,
-        y=s * w,
-        method=method,
-        provenance=Provenance(None, None, None, None, NullSpec(k0=k0), None),
-    )
+    return DesignResult(y=s * w, method=method, null_spec=NullSpec(k0=k0))
 
 
 def design_bd(m: int) -> DesignResult:

@@ -22,8 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import CafGrid, DopplerGrid, DopplerInterval, MetricsReport, magnitude_db
-from .design import DesignResult, Provenance
+from .analysis import CafGrid, DopplerGrid, MetricsReport, magnitude_db
+from .design import DesignResult
 from .nullspec import NullSpec
 
 SCHEMA_VERSION = 3
@@ -42,43 +42,30 @@ def metrics_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def metrics_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(
-        rsba=tuple(
-            DopplerInterval(center=iv["center"], lo=iv["lo"], hi=iv["hi"]) for iv in d["rsba"]
-        ),
-        dmbr=float(d["dmbr"]),
-        pdsl=float(d["pdsl"]),
-        nag=float(d["nag"]),
-        prsl_curve=np.array(d["prsl_curve"], dtype=float),
-    )
-
-
 def build_document(
     design: DesignResult,
     n: int,
     grid_points: int,
     metrics: MetricsReport,
 ) -> dict:
-    prov = design.provenance
     return {
         "schema_version": SCHEMA_VERSION,
         "method": design.method,
         "m": int(design.m),
         "n": int(n),
         "null_spec": {
-            "k0": int(prov.null_spec.k0),
-            "nulls": [[float(t), int(k)] for t, k in prov.null_spec.nulls],
+            "k0": int(design.null_spec.k0),
+            "nulls": [[float(t), int(k)] for t, k in design.null_spec.nulls],
         },
-        "window": prov.window_kind,
-        "seed": prov.seed,
-        "trials": prov.trials,
+        "window": design.window_kind,
+        "seed": design.seed,
+        "trials": design.trials,
         "grid": int(grid_points),
         "s": [int(v) for v in design.transmit_order],
         "w": [float(v) for v in design.weights],
-        "objective": None if prov.rounded_objective is None else float(prov.rounded_objective),
-        "sdp_bound": None if prov.sdp_bound is None else float(prov.sdp_bound),
-        "warnings": list(prov.warnings),
+        "objective": None if design.rounded_objective is None else float(design.rounded_objective),
+        "sdp_bound": None if design.sdp_bound is None else float(design.sdp_bound),
+        "warnings": list(design.warnings),
         "metrics": metrics_to_dict(metrics),
     }
 
@@ -110,6 +97,21 @@ def validate_document(doc: dict) -> None:
     for key in ("method", "m", "n", "null_spec", "s", "w", "grid", "metrics"):
         if key not in doc:
             raise ValueError(f"design document is missing field {key!r}")
+    nested = {
+        "null_spec": ("k0", "nulls"),
+        "metrics": ("rsba", "dmbr", "pdsl", "nag", "prsl_curve"),
+    }
+    for record, keys in nested.items():
+        if not isinstance(doc[record], dict):
+            raise ValueError(f"design document field {record!r} must be an object")
+        for key in keys:
+            if key not in doc[record]:
+                raise ValueError(f"design document is missing field '{record}.{key}'")
+    rsba = doc["metrics"]["rsba"]
+    if not isinstance(rsba, list) or not all(
+        isinstance(iv, dict) and {"center", "lo", "hi"} <= iv.keys() for iv in rsba
+    ):
+        raise ValueError("design document field 'metrics.rsba' must list center, lo and hi")
     m = int(doc["m"])
     if len(doc["s"]) != m or len(doc["w"]) != m:
         raise ValueError("s and w arrays must have length m")
@@ -125,21 +127,16 @@ def document_to_design(doc: dict) -> DesignResult:
         raise ValueError("document weights must be nonnegative")
     ns = doc["null_spec"]
     spec = NullSpec(k0=int(ns["k0"]), nulls=tuple((float(t), int(k)) for t, k in ns["nulls"]))
-    prov = Provenance(
+    return DesignResult(
+        y=s * w,
+        method=doc["method"],
+        null_spec=spec,
+        window_kind=doc.get("window"),
         seed=doc.get("seed"),
         trials=doc.get("trials"),
         rounded_objective=doc.get("objective"),
         sdp_bound=doc.get("sdp_bound"),
-        null_spec=spec,
-        window_kind=doc.get("window"),
         warnings=tuple(doc.get("warnings", ())),
-    )
-    return DesignResult(
-        transmit_order=s,
-        weights=w,
-        y=s * w,
-        method=doc["method"],
-        provenance=prov,
     )
 
 

@@ -58,13 +58,6 @@ class NullSpec:
         """K = k0 + 2 sum(k_i); each theta null binds a mirror pair."""
         return self.k0 + 2 * sum(k for _, k in self.nulls)
 
-    def validate_for(self, m: int) -> None:
-        if self.total_order > m - 1:
-            raise ValueError(
-                f"total null order K={self.total_order} must satisfy K <= M-1 "
-                f"for M={m} pulses"
-            )
-
 
 def constraint_basis(spec: NullSpec, m: int) -> np.ndarray:
     """Orthonormal basis P (m x K) of the moment conditions of ``spec``, K

@@ -162,22 +162,25 @@ def division_remainder(y, k0, nulls=()):
         # A^T A is banded Toeplitz: entry (i, j) is r[|i - j|], zero beyond K
         r = [sum(a[l] * a[l + d] for l in range(K + 1 - d)) for d in range(K + 1)]
         rhs = [sum(a[l] * y[j + l] for l in range(K + 1)) for j in range(n)]
-        # lower Cholesky factor, L[i][d] = L(i, i - d) for d <= K
+        # lower Cholesky factor, L[i][d] = L(i, i - d) for d <= K; the inner
+        # sums are mpmath.fdot, which skips the temporaries of sum(a * b)
         L = [[mpmath.mpf(0)] * (K + 1) for _ in range(n)]
         for i in range(n):
             for d in range(min(i, K), 0, -1):
                 j = i - d
-                acc = r[d] - sum(L[i][d + t] * L[j][t] for t in range(1, min(j, K - d) + 1))
+                t = min(j, K - d)
+                acc = r[d] - mpmath.fdot(L[i][d + 1 : d + 1 + t], L[j][1 : t + 1])
                 L[i][d] = acc / L[j][0]
-            L[i][0] = mpmath.sqrt(r[0] - sum(L[i][t] ** 2 for t in range(1, min(i, K) + 1)))
+            row = L[i][1 : min(i, K) + 1]
+            L[i][0] = mpmath.sqrt(r[0] - mpmath.fdot(row, row))
         z = [mpmath.mpf(0)] * n
         for i in range(n):
-            acc = rhs[i] - sum(L[i][d] * z[i - d] for d in range(1, min(i, K) + 1))
+            acc = rhs[i] - mpmath.fdot((L[i][d], z[i - d]) for d in range(1, min(i, K) + 1))
             z[i] = acc / L[i][0]
         x = [mpmath.mpf(0)] * n
         for i in range(n - 1, -1, -1):
-            acc = z[i] - sum(L[i + d][d] * x[i + d] for d in range(1, min(n - 1 - i, K) + 1))
-            x[i] = acc / L[i][0]
+            terms = ((L[i + d][d], x[i + d]) for d in range(1, min(n - 1 - i, K) + 1))
+            x[i] = (z[i] - mpmath.fdot(terms)) / L[i][0]
         ax = _mp_convolve(a, x)
         return np.array([float(yi - axi) for yi, axi in zip(y, ax)])
 

@@ -104,7 +104,7 @@ def _scenario_document(kind: str, k0: int, nulls=()):
     window = window_template(kind, M_PULSES)
     design = design_nm_drcw(M_PULSES, spec, window, trials=TRIALS, seed=SEED)
     pair = generate_golay_pair(N_PAIR)
-    grid = DopplerGrid.uniform(GRID_POINTS)
+    grid = DopplerGrid(GRID_POINTS)
     metrics = compute_metrics(design, pair, grid)
     doc = build_document(design, n=N_PAIR, grid_points=GRID_POINTS, metrics=metrics)
     return dumps_document(doc).encode("utf-8"), metrics, grid
@@ -266,7 +266,7 @@ def test_criterion_6_baseline_closed_forms():
 
 
 def test_criterion_7_caf_oracle():
-    from drcw.design import DesignResult, Provenance
+    from drcw.design import DesignResult
 
     rng = np.random.default_rng(77)
     worst = 0.0
@@ -276,14 +276,8 @@ def test_criterion_7_caf_oracle():
         pair = generate_golay_pair(n)
         s = np.where(rng.standard_normal(m) >= 0, 1, -1).astype(np.int64)
         w = np.abs(rng.standard_normal(m)) + 0.1
-        design = DesignResult(
-            transmit_order=s,
-            weights=w,
-            y=s * w,
-            method="uniform",
-            provenance=Provenance(None, None, None, None, NullSpec(k0=0), None),
-        )
-        grid = DopplerGrid.uniform(33)
+        design = DesignResult(y=s * w, method="uniform", null_spec=NullSpec(k0=0))
+        grid = DopplerGrid(33)
         caf = composite_ambiguity(design, pair, grid)
         direct = caf_triple_loop(s, w, pair.x1.tolist(), pair.x2.tolist(), grid.points)
         scale = float(np.max(np.abs(direct)))

@@ -18,7 +18,7 @@ from drcw.analysis import (
     prsl_curve,
     rsba,
 )
-from drcw.design import design_bd, design_nm_drcw, design_uniform
+from drcw.design import DesignResult, design_bd, design_nm_drcw, design_uniform
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
 from oracles import acf_direct, caf_triple_loop, doppler_factors_direct
@@ -26,43 +26,30 @@ from oracles import acf_direct, caf_triple_loop, doppler_factors_direct
 
 def random_design(rng, m):
     """Arbitrary (not null-constrained) sign/weight combination."""
-    from drcw.design import DesignResult, Provenance
-
     s = np.where(rng.standard_normal(m) >= 0, 1, -1).astype(np.int64)
     w = np.abs(rng.standard_normal(m)) + 0.1
-    return DesignResult(
-        transmit_order=s,
-        weights=w,
-        y=s * w,
-        method="uniform",
-        provenance=Provenance(
-            seed=None, trials=None, rounded_objective=None, sdp_bound=None,
-            null_spec=NullSpec(k0=0), window_kind=None,
-        ),
-    )
+    return DesignResult(y=s * w, method="uniform", null_spec=NullSpec(k0=0))
 
 
 class TestDopplerGrid:
     @pytest.mark.parametrize("n", [2, 3, 64, 511, 8192])
     def test_contains_zero_and_uniform(self, n):
-        grid = DopplerGrid.uniform(n)
+        grid = DopplerGrid(n)
         assert grid.size == n
+        assert grid.zero_index == n // 2
         assert grid.points[grid.zero_index] == 0.0
         steps = np.diff(grid.points)
         assert np.max(np.abs(steps - steps[0])) <= 1e-12
 
     def test_index_of_snaps_to_nearest(self):
-        grid = DopplerGrid.uniform(8)
+        grid = DopplerGrid(8)
         idx = grid.index_of(0.3)
         assert abs(grid.points[idx] - 0.3) <= grid.resolution / 2 + 1e-12
 
-    def test_rejects_nonuniform(self):
-        with pytest.raises(ValueError, match="uniform"):
-            DopplerGrid(points=np.array([-1.0, 0.0, 2.0]))
-
-    def test_rejects_missing_zero(self):
-        with pytest.raises(ValueError, match="contain theta = 0"):
-            DopplerGrid(points=np.array([-1.5, -0.5, 0.5, 1.5]))
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_rejects_fewer_than_two_points(self, n):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            DopplerGrid(n)
 
 
 class TestCompositeAmbiguity:
@@ -70,12 +57,8 @@ class TestCompositeAmbiguity:
         from drcw.sequences import acf
 
         pair = generate_golay_pair(4)
-        d = random_design(np.random.default_rng(0), 1)
-        d = d.__class__(
-            transmit_order=np.array([1]), weights=np.array([1.0]), y=np.array([1.0]),
-            method=d.method, provenance=d.provenance,
-        )
-        grid = DopplerGrid.uniform(16)
+        d = DesignResult(y=np.array([1.0]), method="uniform", null_spec=NullSpec(k0=0))
+        grid = DopplerGrid(16)
         caf = composite_ambiguity(d, pair, grid)
         expected = acf(pair.x1).astype(float)
         for t in range(grid.size):
@@ -84,7 +67,7 @@ class TestCompositeAmbiguity:
     def test_alternating_uniform_is_impulse_at_zero_doppler(self):
         pair = generate_golay_pair(8)
         d = design_uniform(6)
-        grid = DopplerGrid.uniform(32)
+        grid = DopplerGrid(32)
         caf = composite_ambiguity(d, pair, grid)
         col = caf.values[:, grid.zero_index]
         assert col[caf.zero_lag_index] == pytest.approx(8 * 6)
@@ -101,7 +84,7 @@ class TestCompositeAmbiguity:
         pair = generate_golay_pair(2**p)
         rng = np.random.default_rng(seed)
         d = random_design(rng, m)
-        grid = DopplerGrid.uniform(17)
+        grid = DopplerGrid(17)
         caf = composite_ambiguity(d, pair, grid)
         direct = caf_triple_loop(
             d.transmit_order, d.weights, pair.x1.tolist(), pair.x2.tolist(), grid.points
@@ -122,7 +105,7 @@ class TestCompositeAmbiguity:
         pair = generate_golay_pair(8)
         rng = np.random.default_rng(5)
         d = random_design(rng, 7)
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         caf = composite_ambiguity(d, pair, grid)
         r1 = acf_direct(pair.x1.tolist()).astype(float)
         r2 = acf_direct(pair.x2.tolist()).astype(float)
@@ -135,14 +118,14 @@ class TestCompositeAmbiguity:
 class TestFactors:
     def test_zero_null_forces_f_zero(self):
         d = design_nm_drcw(16, NullSpec(k0=2), window_template("hamming", 16), trials=50, seed=1)
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         f = factors(d, grid)[0]
         assert abs(f[grid.zero_index]) <= 1e-10 * 16
 
     def test_uniform_doppler_factor_is_dirichlet(self):
         m = 9
         d = design_uniform(m)
-        grid = DopplerGrid.uniform(128)
+        grid = DopplerGrid(128)
         g = np.abs(factors(d, grid)[1])
         theta = grid.points
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -153,7 +136,7 @@ class TestFactors:
     def test_g_at_zero_is_weight_sum(self):
         rng = np.random.default_rng(2)
         d = random_design(rng, 11)
-        grid = DopplerGrid.uniform(32)
+        grid = DopplerGrid(32)
         g = factors(d, grid)[1]
         assert g[grid.zero_index].real == pytest.approx(float(np.sum(d.weights)), rel=1e-12)
         assert g[grid.zero_index].imag == pytest.approx(0.0, abs=1e-12)
@@ -163,7 +146,7 @@ class TestFactors:
     def test_fft_matches_direct_sum(self, size, m):
         # sizes below m exercise the folding of pulses modulo the FFT length
         d = random_design(np.random.default_rng(size + m), m)
-        grid = DopplerGrid.uniform(size)
+        grid = DopplerGrid(size)
         got = factors(d, grid)
         want = doppler_factors_direct(d.y, d.weights, grid.points)
         assert got.shape == (3, size)
@@ -171,38 +154,27 @@ class TestFactors:
         assert np.max(np.abs(got[:2] - want[:2])) <= 1e-12 * scale
         assert np.max(np.abs(got[2] - want[2])) <= 1e-12 * m
 
-    def test_rejects_grid_other_than_uniform(self):
-        sub_band = DopplerGrid(points=0.01 * np.arange(-10, 11))
-        with pytest.raises(ValueError, match="DopplerGrid.uniform"):
-            factors(design_uniform(8), sub_band)
-
 
 class TestPrsl:
     def test_single_pulse_pair_level(self):
         # one pulse of the length-2 pair: ACF [1,2,1] -> sidelobe ratio 1/2
         pair = generate_golay_pair(2)
-        from drcw.design import DesignResult, Provenance
-
-        d = DesignResult(
-            transmit_order=np.array([1]), weights=np.array([1.0]), y=np.array([1.0]),
-            method="uniform",
-            provenance=Provenance(None, None, None, None, NullSpec(k0=0), None),
-        )
-        grid = DopplerGrid.uniform(16)
+        d = DesignResult(y=np.array([1.0]), method="uniform", null_spec=NullSpec(k0=0))
+        grid = DopplerGrid(16)
         curve = prsl_curve(d, pair, factors(d, grid)[0])
         assert np.allclose(curve, 20 * math.log10(0.5), atol=1e-9)
 
     def test_uniform_alternating_floors_at_zero_doppler(self):
         pair = generate_golay_pair(8)
         d = design_uniform(6)
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         curve = prsl_curve(d, pair, factors(d, grid)[0])
         assert curve[grid.zero_index] == DB_FLOOR
 
     def test_bd_curve_shape(self):
         pair = generate_golay_pair(64)
         d = design_bd(50)
-        grid = DopplerGrid.uniform(2048)
+        grid = DopplerGrid(2048)
         curve = prsl_curve(d, pair, factors(d, grid)[0])
         z = grid.zero_index
         assert curve[z] == DB_FLOOR
@@ -224,7 +196,7 @@ class TestPrsl:
     def test_prsl_at_matches_grid_curve(self):
         pair = generate_golay_pair(16)
         d = design_bd(12)
-        grid = DopplerGrid.uniform(128)
+        grid = DopplerGrid(128)
         caf = composite_ambiguity(d, pair, grid)
         side = np.delete(np.abs(caf.values), caf.zero_lag_index, axis=0).max(axis=0)
         curve = magnitude_db(side, ref=caf.peak)
@@ -236,7 +208,7 @@ class TestPrsl:
 
 class TestRsba:
     def _grid_curve(self, width_pi):
-        grid = DopplerGrid.uniform(512)
+        grid = DopplerGrid(512)
         curve = np.full(grid.size, -20.0)
         curve[np.abs(grid.points) <= width_pi * math.pi] = -80.0
         return grid, curve
@@ -248,13 +220,13 @@ class TestRsba:
         assert not iv.empty
 
     def test_empty_when_center_not_blanked(self):
-        grid = DopplerGrid.uniform(128)
+        grid = DopplerGrid(128)
         iv = rsba(np.full(grid.size, -30.0), grid)
         assert iv.empty
         assert iv.half_width == 0.0
 
     def test_off_center_interval(self):
-        grid = DopplerGrid.uniform(512)
+        grid = DopplerGrid(512)
         curve = np.full(grid.size, -20.0)
         strip = np.abs(grid.points - 0.5 * math.pi) <= 0.05 * math.pi
         curve[strip] = -90.0
@@ -263,14 +235,14 @@ class TestRsba:
         assert iv.hi == pytest.approx(0.55 * math.pi, abs=0.02)
 
     def test_rejects_center_off_grid(self):
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         with pytest.raises(ValueError, match="outside the grid"):
             rsba(np.zeros(64), grid, center=7.0)
 
 
 class TestDopplerMetrics:
     def test_dmbr_identical_profiles(self):
-        grid = DopplerGrid.uniform(1024)
+        grid = DopplerGrid(1024)
         d = design_uniform(20)
         g = np.abs(factors(d, grid)[1])
         assert dmbr(g, g, grid) == pytest.approx(0.0, abs=1e-12)
@@ -278,7 +250,7 @@ class TestDopplerMetrics:
     def test_uniform_reference_width(self):
         # -3 dB width of the length-m uniform profile is about 0.886 * 2pi/m
         m = 50
-        grid = DopplerGrid.uniform(8192)
+        grid = DopplerGrid(8192)
         g = np.abs(factors(design_uniform(m), grid)[1])
         level = g[grid.zero_index] * 10 ** (-3 / 20)
         above = np.where(g >= level)[0]
@@ -286,18 +258,18 @@ class TestDopplerMetrics:
         assert width == pytest.approx(0.886 * 2 * math.pi / m, rel=0.02)
 
     def test_dmbr_unresolvable_on_tiny_grid(self):
-        grid = DopplerGrid.uniform(4)
+        grid = DopplerGrid(4)
         g = np.ones(4)
         with pytest.raises(ValueError, match="not resolvable"):
             dmbr(g, g, grid)
 
     def test_pdsl_uniform_matches_dirichlet_sidelobe(self):
-        grid = DopplerGrid.uniform(8192)
+        grid = DopplerGrid(8192)
         g = np.abs(factors(design_uniform(50), grid)[1])
         assert pdsl(g, grid) == pytest.approx(-13.26, abs=0.1)
 
     def test_pdsl_monotone_profile_fails(self):
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         g = np.exp(-np.abs(grid.points))
         with pytest.raises(ValueError, match="monotone"):
             pdsl(g, grid)
@@ -354,7 +326,7 @@ class TestComputeMetrics:
             16, NullSpec(k0=3, nulls=((0.7 * math.pi, 1),)),
             window_template("hamming", 16), trials=50, seed=4,
         )
-        grid = DopplerGrid.uniform(1024)
+        grid = DopplerGrid(1024)
         report = compute_metrics(d, pair, grid)
         assert len(report.rsba) == 2  # zero center plus one requested null
         assert report.rsba[0].center == 0.0
@@ -368,5 +340,5 @@ class TestComputeMetrics:
     def test_binomial_profile_has_no_doppler_sidelobe(self):
         # |G| = sum(w) |cos(theta/2)|^(M-1) is monotone on each side of zero;
         # the float dust of its sum near +/-pi must not count as a sidelobe
-        report = compute_metrics(design_bd(50), generate_golay_pair(64), DopplerGrid.uniform(8192))
+        report = compute_metrics(design_bd(50), generate_golay_pair(64), DopplerGrid(8192))
         assert report.pdsl == DB_FLOOR

@@ -102,6 +102,10 @@ class TestDesignCommand:
         assert "--trace" in capsys.readouterr().err
         assert not trace.exists()
 
+    def test_nm_is_the_only_spelling(self, capsys):
+        assert run_cli("design", "nm_drcw", "--m", "10") == 2
+        assert "invalid choice: 'nm_drcw'" in capsys.readouterr().err
+
     def test_document_round_trip_bytes(self, tmp_path):
         out = tmp_path / "r.json"
         run_cli("design", "bd", "--m", "10", "--n", "8", "--grid", "128", "-o", str(out))
@@ -293,7 +297,9 @@ class TestVerifyCommand:
         doc["metrics"]["prsl_curve"] = curve[:-1] if cut > 0 else curve + [curve[-1]]
         two_zone.write_text(json.dumps(doc))
         assert run_cli("verify", str(two_zone)) == 1
-        assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL: re-analysis reproduces embedded metrics" in out
+        assert f"{len(curve) - cut} PRSL points, expected 2 and {len(curve)}" in out
 
     def test_never_builds_the_caf(self, two_zone, monkeypatch, capsys):
         # verify re-analyses through compute_metrics, so this covers both
@@ -316,6 +322,47 @@ class TestVerifyCommand:
 
     def test_requires_some_target(self):
         assert run_cli("verify") == 2
+
+
+class TestMalformedDocument:
+    """A document missing a nested field is a validation error (exit 2),
+    for every command that reads documents, and the message names it."""
+
+    @pytest.fixture(scope="class")
+    def document(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("malformed") / "d.json"
+        run_cli(
+            "design", "nm", "--m", "20", "--n", "16", "--k0", "4", "--grid", "256",
+            "-o", str(out),
+        )
+        return json.loads(out.read_text())
+
+    @staticmethod
+    def run_on(doc, command, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        extra = ["--out-dir", str(tmp_path / "a")] if command == "analyze" else []
+        return run_cli(command, str(bad), *extra)
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "record,key",
+        [("null_spec", "k0"), ("null_spec", "nulls")]
+        + [("metrics", k) for k in ("rsba", "dmbr", "pdsl", "nag", "prsl_curve")],
+    )
+    def test_missing_nested_field(self, document, tmp_path, capsys, command, record, key):
+        doc = json.loads(json.dumps(document))
+        del doc[record][key]
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert f"missing field '{record}.{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("key", ["center", "lo", "hi"])
+    def test_rsba_entry_missing_a_bound(self, document, tmp_path, capsys, command, key):
+        doc = json.loads(json.dumps(document))
+        del doc["metrics"]["rsba"][0][key]
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert "'metrics.rsba'" in capsys.readouterr().err
 
 
 class TestSubprocessEntry:

@@ -183,16 +183,15 @@ class TestDesignNmDrcw:
         assert np.array_equal(result.transmit_order * result.weights, y)
         assert np.all(np.abs(result.transmit_order) == 1)
         assert np.all(result.weights >= 0)
-        prov = result.provenance
-        scale = max(1.0, abs(prov.sdp_bound))
-        assert prov.rounded_objective <= prov.sdp_bound + 1e-6 * scale
+        scale = max(1.0, abs(result.sdp_bound))
+        assert result.rounded_objective <= result.sdp_bound + 1e-6 * scale
         assert max_null_violation(y, spec) <= 1e-8 * 24
 
     def test_sdp_bound_is_certified_dual_bound(self):
         m, spec, window = 20, NullSpec(k0=5), window_template("hamming", 20)
         result = design_nm_drcw(m, spec, window, trials=100, seed=0)
         solution = solve_partition_sdp(quadratic_form(constraint_basis(spec, m), window))
-        assert result.provenance.sdp_bound == solution.dual_bound
+        assert result.sdp_bound == solution.dual_bound
 
     def test_rect_nag_near_zero_at_k0_10(self):
         # with a rectangular template and a mild null the weights stay
@@ -221,7 +220,9 @@ class TestDesignNmDrcw:
         a = design_nm_drcw(16, spec, window, trials=100, seed=77)
         b = design_nm_drcw(16, spec, window, trials=100, seed=77)
         assert np.array_equal(a.y, b.y)
-        assert a.provenance == b.provenance
+        fields = ("method", "null_spec", "window_kind", "seed", "trials", "rounded_objective",
+                  "sdp_bound", "warnings", "solver_trace")
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
 
     def test_rejects_budget_violation(self):
         with pytest.raises(ValueError, match="K <= M-1"):

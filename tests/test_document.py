@@ -5,10 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, magnitude_db
-from drcw.design import design_bd, design_nm_drcw
+from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db
+from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
-    _H, _MB, _ML, _MR, _MT, _W, _svg_header, caf_csv, curve_csv, svg_heatmap, svg_line_plot,
+    _H, _MB, _ML, _MR, _MT, _W, _svg_header, build_document, caf_csv, curve_csv,
+    document_to_design, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
@@ -121,17 +122,43 @@ def svg_heatmap_reference(caf, title, db_min=-100.0, max_cols=200):
     return "\n".join(parts) + "\n"
 
 
+class TestDocumentRoundTrip:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: design_nm_drcw(
+                16, NullSpec(k0=3, nulls=((0.7 * math.pi, 1),)), window_template("hamming", 16),
+                trials=50, seed=2,
+            ),
+            lambda: design_bd(12),
+            lambda: design_ptm(16),
+            lambda: design_uniform(11),
+        ],
+        ids=["nm", "bd", "ptm", "uniform"],
+    )
+    def test_design_survives_the_document(self, make):
+        d = make()
+        pair = generate_golay_pair(8)
+        metrics = compute_metrics(d, pair, DopplerGrid(256))
+        back = document_to_design(build_document(d, n=8, grid_points=256, metrics=metrics))
+        for name in ("y", "transmit_order", "weights"):
+            got, want = getattr(back, name), getattr(d, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+        assert back.null_spec == d.null_spec
+        assert (back.method, back.seed, back.trials) == (d.method, d.seed, d.trials)
+
+
 class TestCsvFormat:
     def test_caf_csv_rows(self):
         pair = generate_golay_pair(8)
-        grid = DopplerGrid.uniform(17)
+        grid = DopplerGrid(17)
         caf = composite_ambiguity(design_bd(5), pair, grid)
         assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_caf_csv_rows_that_nearly_repeat(self):
         # a row is reused only when its bytes repeat: +0.0 and -0.0 rows, a
         # negated row (same magnitudes and dB) and rows one ulp apart differ
-        grid = DopplerGrid.uniform(9)
+        grid = DopplerGrid(9)
         rng = np.random.default_rng(3)
         a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         # the double nearest 1.000000000005 lies just above that .12g
@@ -151,7 +178,7 @@ class TestCsvFormat:
 
     def test_caf_csv_nm_design_odd_grid(self):
         pair = generate_golay_pair(16)
-        grid = DopplerGrid.uniform(257)
+        grid = DopplerGrid(257)
         d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
         caf = composite_ambiguity(d, pair, grid)
         assert len({row.tobytes() for row in caf.values}) < len(caf.lags)
@@ -159,7 +186,7 @@ class TestCsvFormat:
 
     def test_curve_csv_rows(self):
         for points in (17, 256):
-            grid = DopplerGrid.uniform(points)
+            grid = DopplerGrid(points)
             values = np.linspace(-300.0, 0.0, points)
             values[1:] += np.random.default_rng(points).standard_normal(points - 1) * 1e-3
             values[1] = -0.0
@@ -169,7 +196,7 @@ class TestCsvFormat:
         # the 127 x 2048 CAF has 13 distinct rows; the file is written lag by
         # lag, so the text of the whole file is never held at once
         pair = generate_golay_pair(64)
-        caf = composite_ambiguity(design_bd(50), pair, DopplerGrid.uniform(2048))
+        caf = composite_ambiguity(design_bd(50), pair, DopplerGrid(2048))
         path = tmp_path / "caf.csv"
         tracemalloc.start()
         try:
@@ -186,7 +213,7 @@ class TestCsvFormat:
 class TestSvgFormat:
     @pytest.mark.parametrize("y_floor", (None, -120.0))
     def test_line_plot(self, y_floor):
-        grid = DopplerGrid.uniform(513)
+        grid = DopplerGrid(513)
         rng = np.random.default_rng(4)
         ys = np.concatenate([np.full(13, -300.0), rng.uniform(-140.0, 0.0, 500)])
         args = (grid.points, ys, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)")
@@ -196,7 +223,7 @@ class TestSvgFormat:
 
     def test_flat_line_plot(self):
         # y1 == y0: the plot spans one dB above the flat level
-        grid = DopplerGrid.uniform(64)
+        grid = DopplerGrid(64)
         args = (grid.points, np.full(64, -300.0), "flat", "x", "y")
         assert svg_line_plot(*args, y_floor=-120.0) == svg_line_plot_reference(
             *args, y_floor=-120.0
@@ -207,5 +234,5 @@ class TestSvgFormat:
         # last of them five points wide
         pair = generate_golay_pair(16)
         d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
-        caf = composite_ambiguity(d, pair, DopplerGrid.uniform(1001))
+        caf = composite_ambiguity(d, pair, DopplerGrid(1001))
         assert svg_heatmap(caf, "CAF") == svg_heatmap_reference(caf, "CAF")

@@ -27,11 +27,6 @@ class TestNullSpec:
         spec = NullSpec(k0=20, nulls=((0.8 * math.pi, 4),))
         assert spec.total_order == 28
 
-    def test_validate_for_budget(self):
-        NullSpec(k0=10).validate_for(50)
-        with pytest.raises(ValueError, match="K <= M-1"):
-            NullSpec(k0=50).validate_for(50)
-
     def test_rejects_bad_angles(self):
         with pytest.raises(ValueError, match="inside"):
             NullSpec(k0=0, nulls=((0.0, 1),))
