@@ -107,19 +107,66 @@ def validate_document(doc: dict) -> None:
         for key in keys:
             if key not in doc[record]:
                 raise ValueError(f"design document is missing field '{record}.{key}'")
-    rsba = doc["metrics"]["rsba"]
-    if not isinstance(rsba, list) or not all(
-        isinstance(iv, dict) and {"center", "lo", "hi"} <= iv.keys() for iv in rsba
-    ):
-        raise ValueError("design document field 'metrics.rsba' must list center, lo and hi")
-    m = int(doc["m"])
+    ns, metrics = doc["null_spec"], doc["metrics"]
+    number, integer = "a number", "an integer"
+    numbers, optional = "a list of numbers", "a number or null"
+    typed = [
+        ("m", _is_int(doc["m"]), integer),
+        ("n", _is_int(doc["n"]), integer),
+        ("grid", _is_int(doc["grid"]), integer),
+        ("null_spec.k0", _is_int(ns["k0"]) and ns["k0"] >= 0, "an integer >= 0"),
+        ("null_spec.nulls", _is_list(ns["nulls"], _is_null_pair), "[number, integer] pairs"),
+        ("s", _is_list(doc["s"], _is_number), numbers),
+        ("w", _is_list(doc["w"], _is_number), numbers),
+        ("objective", doc.get("objective") is None or _is_number(doc["objective"]), optional),
+        ("sdp_bound", doc.get("sdp_bound") is None or _is_number(doc["sdp_bound"]), optional),
+        ("warnings", _is_list(doc.get("warnings", []), _is_str), "a list of strings"),
+        ("metrics.rsba", _is_list(metrics["rsba"], _is_interval), "a list of {center, lo, hi}"),
+        ("metrics.dmbr", _is_number(metrics["dmbr"]), number),
+        ("metrics.pdsl", _is_number(metrics["pdsl"]), number),
+        ("metrics.nag", _is_number(metrics["nag"]), number),
+        ("metrics.prsl_curve", _is_list(metrics["prsl_curve"], _is_number), numbers),
+    ]
+    for field, ok, what in typed:
+        if not ok:
+            raise ValueError(f"design document field {field!r} must be {what}")
+    m = doc["m"]
     if len(doc["s"]) != m or len(doc["w"]) != m:
         raise ValueError("s and w arrays must have length m")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list(value, item_ok) -> bool:
+    return isinstance(value, list) and all(item_ok(v) for v in value)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_null_pair(value) -> bool:
+    # [theta, order]
+    return (
+        isinstance(value, list) and len(value) == 2 and _is_number(value[0]) and _is_int(value[1])
+    )
+
+
+def _is_interval(value) -> bool:
+    # an RSBA entry; a missing bound reads as None
+    return isinstance(value, dict) and all(_is_number(value.get(k)) for k in ("center", "lo", "hi"))
+
+
 def document_to_design(doc: dict) -> DesignResult:
     """Rebuild an in-memory design from a document (y = s o w)."""
-    s = np.array(doc["s"], dtype=np.int64)
+    s = np.array(doc["s"], dtype=float)
     w = np.array(doc["w"], dtype=float)
     if not np.all(np.abs(s) == 1):
         raise ValueError("document transmit order must contain only +1/-1")

@@ -15,12 +15,15 @@ The implementation is a barrier interior-point method on the dual
 whose Newton machinery is tiny for this constraint structure: with
 Z = Diag(y) - A_tilde, the barrier gradient is t*1 - diag(Z^{-1}) and the
 Hessian is the elementwise square Z^{-1} o Z^{-1}. Each centering step costs
-one inverse of Z, one M x M solve and the Cholesky tests of its step
-length. The primal iterate X = Z^{-1}/t, from the same inverse, is
-positive definite by construction, and any dual-feasible y certifies the
-upper bound sum(y) >= optimum, so the reported duality gap is certified
-rather than heuristic. Problems are normalized by the Frobenius norm of
-A_tilde internally, making the solve exactly scale equivariant.
+one Cholesky factor L of Z, shared by the step-length test (which factors
+Z at the trial step and halves the step until that succeeds) and by
+Z^{-1} = L^{-T} L^{-1}, which is formed from L with matrix products; plus
+one M x M solve for the Newton direction. The primal iterate
+X = Z^{-1}/t, from the same inverse, is positive definite by construction,
+and any dual-feasible y certifies the upper bound sum(y) >= optimum, so the
+reported duality gap is certified rather than heuristic. Problems are
+normalized by the Frobenius norm of A_tilde internally, making the solve
+exactly scale equivariant.
 """
 
 from __future__ import annotations
@@ -59,6 +62,33 @@ class SdpSolution:
     trace: tuple[tuple[int, float, float, float], ...] = ()
 
 
+_BASE_BLOCK = 64  # LAPACK inverts blocks up to this size; 32 measured the same
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower-triangular L by recursive 2 x 2 blocks:
+    [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} (B A^{-1}), C^{-1}]],
+    so all but the base blocks' work is matrix products."""
+    m = L.shape[0]
+    if m <= _BASE_BLOCK:
+        return np.linalg.inv(L)
+    h = m // 2
+    a_inv = _lower_inverse(L[:h, :h])
+    c_inv = _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = a_inv
+    out[h:, h:] = c_inv
+    out[h:, :h] = -c_inv @ (L[h:, :h] @ a_inv)
+    return out
+
+
+def _inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
+    """Z^{-1} = L^{-T} L^{-1} for the Cholesky factor L of a positive
+    definite Z = L L^T."""
+    l_inv = _lower_inverse(L)
+    return l_inv.T @ l_inv
+
+
 def solve_partition_sdp(
     a_tilde,
     tol: float = 1e-6,
@@ -82,6 +112,10 @@ def solve_partition_sdp(
     The returned matrix has exactly unit diagonal (rescaled at the end) and
     is positive definite up to roundoff. Deterministic: identical inputs
     produce identical outputs.
+
+    Each Newton step costs one M x M solve and one Cholesky factor of
+    Z = Diag(y) - A_tilde at the accepted step, from which Z^{-1} is
+    formed; a rejected trial step costs one more (failed) factorization.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -119,7 +153,8 @@ def solve_partition_sdp(
     dobj = float(np.sum(y))
 
     exhausted = False
-    Zinv = np.linalg.inv(np.diag(y) - An)
+    L = np.linalg.cholesky(np.diag(y) - An)
+    Zinv = _inverse_from_cholesky(L)
     for _stage in range(120):
         # Newton centering at the current t
         for _ in range(80):
@@ -133,17 +168,19 @@ def solve_partition_sdp(
             step = 1.0
             for _bt in range(70):
                 try:
-                    np.linalg.cholesky(np.diag(y + step * dy) - An)
+                    L = np.linalg.cholesky(np.diag(y + step * dy) - An)
                     break
                 except np.linalg.LinAlgError:
                     step *= 0.5
             else:
+                # L is still the factor of the unchanged Z
                 step = 0.0
             y = y + step * dy
             iterations += 1
-            # one inverse per iterate: the primal X_i = Z^{-1}/t below and the
-            # next Newton step both use it
-            Zinv = np.linalg.inv(np.diag(y) - An)
+            # one inverse per iterate, from the factor the step test accepted:
+            # the primal X_i = Z^{-1}/t below and the next Newton step both
+            # use it
+            Zinv = _inverse_from_cholesky(L)
             done = decrement2 < 1e-9 or iterations >= max_iter
             if collect_trace or done:
                 # the trace only observes: its values reach the iterate state

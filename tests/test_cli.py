@@ -325,8 +325,9 @@ class TestVerifyCommand:
 
 
 class TestMalformedDocument:
-    """A document missing a nested field is a validation error (exit 2),
-    for every command that reads documents, and the message names it."""
+    """A document missing a nested field, or holding a field of the wrong
+    type, is a validation error (exit 2) for every command that reads
+    documents, and the message names the field."""
 
     @pytest.fixture(scope="class")
     def document(self, tmp_path_factory):
@@ -363,6 +364,43 @@ class TestMalformedDocument:
         del doc["metrics"]["rsba"][0][key]
         assert self.run_on(doc, command, tmp_path) == 2
         assert "'metrics.rsba'" in capsys.readouterr().err
+
+    # (field, wrong values) with int, str, list and null among them where
+    # that type is wrong for the field; a bool stands in for the int where
+    # an int is a valid number
+    WRONG_TYPES = [
+        ("m", [20.0, "20", [20], None]),
+        ("n", [16.0, "16", [16], None]),
+        ("grid", [256.0, "256", [256], None]),
+        ("null_spec.k0", [-1, 4.0, "4", [4], None]),
+        ("null_spec.nulls", [5, "x", [5], [["x", 1]], [[2.5, 1.0]], None]),
+        ("s", [5, "x", ["x"], None]),
+        ("w", [5, "x", ["x"], None]),
+        ("objective", ["x", [1.0], True]),
+        ("sdp_bound", ["x", [1.0], True]),
+        ("warnings", [5, "x", [5], None]),
+        ("metrics.prsl_curve", [5, "x", ["x"], None]),
+        ("metrics.dmbr", [True, "x", [1.0], None]),
+        ("metrics.pdsl", [True, "x", [1.0], None]),
+        ("metrics.nag", [True, "x", [1.0], None]),
+        ("metrics.rsba", [5, "x", [5], None]),
+        ("metrics.rsba.0.center", [True, "x", [1.0], None]),
+    ]
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "field,value", [(f, v) for f, values in WRONG_TYPES for v in values], ids=repr
+    )
+    def test_wrong_typed_field(self, document, tmp_path, capsys, command, field, value):
+        doc = json.loads(json.dumps(document))
+        *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+        record = doc
+        for key in parents:
+            record = record[key]
+        record[last] = value
+        assert self.run_on(doc, command, tmp_path) == 2
+        named = "metrics.rsba" if field.startswith("metrics.rsba") else field
+        assert f"'{named}'" in capsys.readouterr().err
 
 
 class TestSubprocessEntry:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from drcw.nullspec import NullSpec, constraint_basis, quadratic_form
-from drcw.sdp import solve_partition_sdp
+from drcw.sdp import _inverse_from_cholesky, solve_partition_sdp
 from drcw.sequences import window_template
 from oracles import brute_force_partition_max
 
@@ -56,6 +56,19 @@ class TestSolutionInvariants:
         assert sol.residuals.duality_gap >= -1e-12
         assert sol.dual_bound >= sol.objective - 1e-12
 
+    def test_production_size(self):
+        # the M=512 large-m design: the blocked inverse recurses three levels
+        m = 512
+        spec = NullSpec(k0=4, nulls=((0.5 * np.pi, 1), (0.8 * np.pi, 1)))
+        form = quadratic_form(constraint_basis(spec, m), window_template("hamming", m))
+        tol = 1e-6
+        sol = solve_partition_sdp(form, tol=tol)
+        assert sol.converged
+        scale = m * float(np.max(np.abs(np.linalg.eigvalsh(form))))
+        assert sol.residuals.duality_gap <= tol * scale
+        assert sol.residuals.diag_deviation <= 1e-6
+        assert sol.residuals.min_eigenvalue > 0
+
     def test_psd_objective_at_least_trace(self):
         rng = np.random.default_rng(3)
         form = random_instance(rng, 10)
@@ -91,6 +104,26 @@ class TestSolutionInvariants:
         assert np.array_equal(a.s_matrix, b.s_matrix)
         assert a.objective == b.objective
         assert a.iterations == b.iterations
+
+
+class TestCholeskyInverse:
+    @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 513])
+    @pytest.mark.parametrize("cond", [1e2, 1e8, 1e12])
+    def test_residual_within_lapack_inverse(self, m, cond):
+        # one residual of a 2 x 2 matrix is a single roundoff draw, and
+        # np.linalg.inv's own varies 15x between such matrices; so compare
+        # the worst residual over a few matrices of each size and condition
+        rng = np.random.default_rng(m)
+        eye = np.eye(m)
+        blocked = lapack = 0.0
+        for _ in range(5):
+            q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+            z = (q * np.geomspace(1.0, 1.0 / cond, m)) @ q.T
+            z = (z + z.T) / 2
+            z_inv = _inverse_from_cholesky(np.linalg.cholesky(z))
+            blocked = max(blocked, float(np.max(np.abs(z @ z_inv - eye))))
+            lapack = max(lapack, float(np.max(np.abs(z @ np.linalg.inv(z) - eye))))
+        assert blocked <= 10 * lapack
 
 
 class TestErrorHandling:
