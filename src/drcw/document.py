@@ -70,8 +70,32 @@ def build_document(
     }
 
 
+def _number_list(values: list, pad: str) -> str:
+    """The indent=2 JSON text of a flat list of numbers whose key sits at
+    indent ``pad``, from json's C encoder (which only runs without
+    ``indent``): the item separator carries the newline and the indent."""
+    if not values:
+        return "[]"
+    inner = pad + "  "
+    body = json.dumps(values, separators=(",\n" + inner, ": "))[1:-1]
+    return f"[\n{inner}{body}\n{pad}]"
+
+
 def dumps_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False)``
+    plus a newline, byte for byte. The long number lists s, w and
+    metrics.prsl_curve are encoded apart and spliced in where the rest's
+    text holds them empty; a raw newline followed by a key's indent can
+    only start that key, since JSON strings escape their newlines."""
+    metrics = doc["metrics"]
+    rest = dict(doc, s=[], w=[], metrics=dict(metrics, prsl_curve=[]))
+    text = json.dumps(rest, indent=2, sort_keys=True, ensure_ascii=False)
+    for key in ("s", "w"):
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {_number_list(doc[key], "  ")}', 1)
+    head, tail = text.split('\n  "metrics": ', 1)
+    curve = _number_list(metrics["prsl_curve"], "    ")
+    tail = tail.replace('\n    "prsl_curve": []', f'\n    "prsl_curve": {curve}', 1)
+    return f'{head}\n  "metrics": {tail}\n'
 
 
 def save_document(doc: dict, path) -> None:

@@ -15,15 +15,20 @@ The implementation is a barrier interior-point method on the dual
 whose Newton machinery is tiny for this constraint structure: with
 Z = Diag(y) - A_tilde, the barrier gradient is t*1 - diag(Z^{-1}) and the
 Hessian is the elementwise square Z^{-1} o Z^{-1}. Each centering step costs
-one Cholesky factor L of Z, shared by the step-length test (which factors
-Z at the trial step and halves the step until that succeeds) and by
-Z^{-1} = L^{-T} L^{-1}, which is formed from L with matrix products; plus
-one M x M solve for the Newton direction. The primal iterate
-X = Z^{-1}/t, from the same inverse, is positive definite by construction,
-and any dual-feasible y certifies the upper bound sum(y) >= optimum, so the
-reported duality gap is certified rather than heuristic. Problems are
-normalized by the Frobenius norm of A_tilde internally, making the solve
-exactly scale equivariant.
+one Cholesky factor L of Z, shared by the step-length test (which halves
+the trial step alpha until Z(alpha) = Diag(y + alpha dy) - A_tilde factors)
+and by Z^{-1} = L^{-T} L^{-1}, which is formed from L with matrix products;
+plus one M x M solve for the Newton direction. Two O(M) certificates rule
+out a trial step before it is factored, since each shows Z(alpha)
+indefinite: a non-positive diagonal entry of Z(alpha), which bounds every
+Cholesky pivot, and a non-positive v^T Z(alpha) v for a column v = Z^{-1} e_i
+of the current inverse, which the Newton equation gives for every i at
+once as (1 + alpha) Z^{-1}_ii - alpha t. Only the factorization accepts a
+step. The primal iterate X = Z^{-1}/t, from the same inverse, is positive
+definite by construction, and any dual-feasible y certifies the upper bound
+sum(y) >= optimum, so the reported duality gap is certified rather than
+heuristic. Problems are normalized by the Frobenius norm of A_tilde
+internally, making the solve exactly scale equivariant.
 """
 
 from __future__ import annotations
@@ -89,6 +94,14 @@ def _inverse_from_cholesky(L: np.ndarray) -> np.ndarray:
     return l_inv.T @ l_inv
 
 
+def _certificates_pass(z_diag: np.ndarray, zinv_min: float, step: float, t: float) -> bool:
+    """False if a certificate of the module docstring shows the trial
+    Z(step) indefinite: ``z_diag`` is its diagonal, ``zinv_min`` is
+    min_i Z^{-1}_ii at the current Z, and ``t`` is the barrier parameter of
+    the Newton equation that gave the step direction."""
+    return bool(np.min(z_diag) > 0 and (1.0 + step) * zinv_min > step * t)
+
+
 def solve_partition_sdp(
     a_tilde,
     tol: float = 1e-6,
@@ -115,7 +128,10 @@ def solve_partition_sdp(
 
     Each Newton step costs one M x M solve and one Cholesky factor of
     Z = Diag(y) - A_tilde at the accepted step, from which Z^{-1} is
-    formed; a rejected trial step costs one more (failed) factorization.
+    formed. A trial step is factored only if neither O(M) certificate
+    (Z's diagonal there, and Z's quadratic form there along each column of
+    the current Z^{-1}) shows it indefinite; the factorization alone
+    accepts a step.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -137,6 +153,7 @@ def solve_partition_sdp(
 
     # normalized problem: exact scale equivariance of the whole solve
     An = A / norm
+    diag_an = np.diag(An)
     lam = np.linalg.eigvalsh(An)
     spectral = float(max(abs(lam[0]), abs(lam[-1])))
     scale = spectral * M  # problem-size proxy, invariant under rescaling
@@ -158,20 +175,25 @@ def solve_partition_sdp(
     for _stage in range(120):
         # Newton centering at the current t
         for _ in range(80):
-            g = t * ones - np.diag(Zinv)
+            zinv_diag = np.diag(Zinv)
+            g = t * ones - zinv_diag
             H = Zinv * Zinv
             try:
                 dy = -np.linalg.solve(H, g)
             except np.linalg.LinAlgError:
                 dy = -np.linalg.solve(H + 1e-14 * np.eye(M), g)
             decrement2 = float(-g @ dy)
+            zinv_min = float(np.min(zinv_diag))
             step = 1.0
             for _bt in range(70):
-                try:
-                    L = np.linalg.cholesky(np.diag(y + step * dy) - An)
-                    break
-                except np.linalg.LinAlgError:
-                    step *= 0.5
+                y_trial = y + step * dy
+                if _certificates_pass(y_trial - diag_an, zinv_min, step, t):
+                    try:
+                        L = np.linalg.cholesky(np.diag(y_trial) - An)
+                        break
+                    except np.linalg.LinAlgError:
+                        pass
+                step *= 0.5
             else:
                 # L is still the factor of the unchanged Z
                 step = 0.0

@@ -1,4 +1,5 @@
 import io
+import json
 import math
 import tracemalloc
 
@@ -9,7 +10,7 @@ from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_met
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
     _H, _MB, _ML, _MR, _MT, _W, _svg_header, build_document, caf_csv, curve_csv,
-    document_to_design, svg_heatmap, svg_line_plot,
+    document_to_design, dumps_document, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
@@ -122,30 +123,69 @@ def svg_heatmap_reference(caf, title, db_min=-100.0, max_cols=200):
     return "\n".join(parts) + "\n"
 
 
+MAKE_DESIGN = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: design_nm_drcw(
+            16, NullSpec(k0=3, nulls=((0.7 * math.pi, 1),)), window_template("hamming", 16),
+            trials=50, seed=2,
+        ),
+        lambda: design_bd(12),
+        lambda: design_ptm(16),
+        lambda: design_uniform(11),
+    ],
+    ids=["nm", "bd", "ptm", "uniform"],
+)
+
+
+def document_of(design) -> dict:
+    metrics = compute_metrics(design, generate_golay_pair(8), DopplerGrid(256))
+    return build_document(design, n=8, grid_points=256, metrics=metrics)
+
+
 class TestDocumentRoundTrip:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: design_nm_drcw(
-                16, NullSpec(k0=3, nulls=((0.7 * math.pi, 1),)), window_template("hamming", 16),
-                trials=50, seed=2,
-            ),
-            lambda: design_bd(12),
-            lambda: design_ptm(16),
-            lambda: design_uniform(11),
-        ],
-        ids=["nm", "bd", "ptm", "uniform"],
-    )
+    @MAKE_DESIGN
     def test_design_survives_the_document(self, make):
         d = make()
-        pair = generate_golay_pair(8)
-        metrics = compute_metrics(d, pair, DopplerGrid(256))
-        back = document_to_design(build_document(d, n=8, grid_points=256, metrics=metrics))
+        back = document_to_design(document_of(d))
         for name in ("y", "transmit_order", "weights"):
             got, want = getattr(back, name), getattr(d, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert back.null_spec == d.null_spec
         assert (back.method, back.seed, back.trials) == (d.method, d.seed, d.trials)
+
+
+class TestDocumentEncoding:
+    """dumps_document splices its long number lists in from json's C
+    encoder; the text must be json's own indent=2 encoding of the whole."""
+
+    @staticmethod
+    def reference(doc: dict) -> str:
+        return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+    @MAKE_DESIGN
+    def test_designs(self, make):
+        doc = document_of(make())
+        assert dumps_document(doc) == self.reference(doc)
+
+    def test_empty_nulls(self):
+        doc = document_of(design_nm_drcw(12, NullSpec(k0=2), window_template("hamming", 12), trials=20))
+        assert doc["null_spec"]["nulls"] == []
+        assert dumps_document(doc) == self.reference(doc)
+
+    @pytest.mark.parametrize("length", [0, 1])
+    def test_short_lists(self, length):
+        doc = document_of(design_uniform(11))
+        doc["s"], doc["w"] = doc["s"][:length], doc["w"][:length]
+        doc["metrics"]["prsl_curve"] = doc["metrics"]["prsl_curve"][:length]
+        assert dumps_document(doc) == self.reference(doc)
+
+    def test_non_finite_curve(self):
+        doc = document_of(design_bd(12))
+        doc["metrics"]["prsl_curve"][:3] = [math.inf, -math.inf, math.nan]
+        text = dumps_document(doc)
+        assert "Infinity,\n      -Infinity,\n      NaN," in text
+        assert text == self.reference(doc)
 
 
 class TestCsvFormat:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcw.nullspec import NullSpec, constraint_basis, quadratic_form
-from drcw.sdp import _inverse_from_cholesky, solve_partition_sdp
+from drcw.sdp import _certificates_pass, _inverse_from_cholesky, solve_partition_sdp
 from drcw.sequences import window_template
 from oracles import brute_force_partition_max
 
@@ -124,6 +126,54 @@ class TestCholeskyInverse:
             blocked = max(blocked, float(np.max(np.abs(z @ z_inv - eye))))
             lapack = max(lapack, float(np.max(np.abs(z @ np.linalg.inv(z) - eye))))
         assert blocked <= 10 * lapack
+
+
+class TestStepCertificates:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.floats(min_value=0.0, max_value=8.0),
+        st.floats(min_value=-4.0, max_value=4.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_rejected_steps_do_not_factor(self, m, log_cond, log_t, seed):
+        # a random positive definite Z, a barrier parameter t on the scale
+        # of diag(Z^{-1}), and dy from the Newton equation at (Z, t)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        z = (q * np.geomspace(1.0, 10.0**-log_cond, m)) @ q.T
+        z = (z + z.T) / 2
+        z_inv = np.linalg.inv(z)
+        t = 10.0**log_t * float(np.mean(np.diag(z_inv)))
+        dy = -np.linalg.solve(z_inv * z_inv, t - np.diag(z_inv))
+        zinv_min = float(np.min(np.diag(z_inv)))
+        for k in range(11):
+            step = 0.5**k
+            if not _certificates_pass(np.diag(z) + step * dy, zinv_min, step, t):
+                with pytest.raises(np.linalg.LinAlgError):
+                    np.linalg.cholesky(z + step * np.diag(dy))
+
+    def test_no_failed_factorization_at_m256(self, monkeypatch):
+        form = quadratic_form(
+            constraint_basis(NullSpec(k0=8), 256), window_template("hamming", 256)
+        )
+        calls, raised = [], []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            calls.append(a.shape)
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                raised.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        sol = solve_partition_sdp(form)
+        assert sol.converged
+        assert raised == []
+        # the initial factor plus one per accepted step
+        assert len(calls) == sol.iterations + 1
 
 
 class TestErrorHandling:
