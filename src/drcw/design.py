@@ -31,6 +31,10 @@ from .sequences import WindowTemplate, binomial_weights, ptm_order
 
 # S is treated as rank one when its top eigenvalue is this many times the rest
 RANK1_RATIO = 1e8
+# rounding draws, signs and scores its candidates in blocks of this many
+# bytes, but of no fewer rows, so large M still gets efficient products
+_BLOCK_BYTES = 1 << 18
+_MIN_BLOCK_ROWS = 128
 
 
 class DesignFailure(RuntimeError):
@@ -52,25 +56,37 @@ class RoundedSolution:
 
 def round_solution(
     s_matrix: np.ndarray,
-    a_tilde: np.ndarray,
+    p: np.ndarray,
+    window: WindowTemplate,
     trials: int,
     seed: int,
 ) -> RoundedSolution:
     """Extract a sign vector from the relaxation matrix S (M x M) for the
-    objective s^T A_tilde s.
+    objective s^T A_tilde s of the basis P (M x K) and window w.
 
-    If the top eigenvalue dominates the rest by the factor ``RANK1_RATIO`` the
-    solution is treated as rank one and the leading eigenvector's sign
-    pattern is returned directly. Otherwise S is factored as V V^T and
-    ``trials`` Gaussian vectors r produce candidates sign(V r); the
-    candidate with the largest s^T A_tilde s wins, ties broken by lowest
-    trial index. Deterministic given (seed, trials).
+    A_tilde = Diag(w^2) - B B^T with B = Diag(w) P, so every sign vector is
+    scored in rank K as ||w||^2 - ||B^T s||^2; the reported objective is
+    this score. If the top eigenvalue of S dominates the rest by the factor
+    ``RANK1_RATIO`` the solution is treated as rank one and the leading
+    eigenvector's sign pattern is returned directly. Otherwise S is factored
+    as V V^T from ``eigh`` and ``trials`` Gaussian vectors r give the
+    candidates sign(V r), sign(0) = +1. The r come from one generator seeded
+    by ``seed`` in consecutive blocks of 256 KB (at least 128 candidates),
+    the same numbers as one (trials, M) draw; each block is signed and
+    scored by one (block x M)(M x K) product before the next is drawn.
+
+    The pick is the first maximum of the computed score, lowest trial index
+    first. s and -s, and for persymmetric forms the reversals Js and -Js,
+    tie in exact arithmetic, so roundoff in the score settles which of them
+    wins. Deterministic given (seed, trials).
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     S = np.asarray(s_matrix, dtype=float)
-    At = np.asarray(a_tilde, dtype=float)
     M = S.shape[0]
+    w = window.values
+    b = w[:, None] * p
+    norm_w = float(w @ w)
     lam, vecs = np.linalg.eigh(S)
     lam = lam[::-1]
     vecs = vecs[:, ::-1]
@@ -79,21 +95,30 @@ def round_solution(
     tail = float(np.sum(lam[1:]))
     if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
         s = _sign_pm1(vecs[:, 0])
-        obj = float(s @ At @ s)
+        proj = b.T @ s
+        obj = norm_w - float(proj @ proj)
         return RoundedSolution(s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped)
 
-    factor = vecs * np.sqrt(np.maximum(lam, 0.0))
+    factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
     rng = np.random.default_rng(seed)
-    r = rng.standard_normal((trials, M))
-    candidates = np.where(r @ factor.T >= 0, 1.0, -1.0)
-    del r  # the draws are spent; free them before scoring
-    # one BLAS product C A_tilde scores every candidate: s_b^T A_tilde s_b
-    objs = np.einsum("bi,bi->b", candidates @ At, candidates)
-    best = int(np.argmax(objs))  # argmax takes the first maximum: lowest trial index
-    s = candidates[best].astype(np.int64)
+    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * M))
+    draws = np.empty((min(rows, trials), M))
+    candidates = np.empty_like(draws)
+    best, best_score = None, -math.inf
+    for start in range(0, trials, rows):
+        r, c = draws[: trials - start], candidates[: trials - start]
+        rng.standard_normal(out=r)
+        np.matmul(r, factor_t, out=c)
+        c += 0.0  # -0.0 becomes +0.0, so copysign gives sign(0) = +1
+        np.copysign(1.0, c, out=c)
+        proj = c @ b
+        scores = norm_w - np.einsum("bk,bk->b", proj, proj)
+        i = int(np.argmax(scores))  # argmax takes the first maximum in the block
+        if scores[i] > best_score:  # strict, so an equal later block keeps the pick
+            best, best_score = c[i].astype(np.int64), float(scores[i])
     return RoundedSolution(
-        s=s,
-        objective=float(s @ At @ s),
+        s=best,
+        objective=best_score,
         used_rank1_shortcut=False,
         clamped_eigenvalues=clamped,
     )
@@ -170,6 +195,8 @@ def design_nm_drcw(
     """
     if m < 2:
         raise ValueError(f"pulse count must be >= 2, got {m}")
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
@@ -181,7 +208,7 @@ def design_nm_drcw(
             "relaxation did not converge: gap "
             f"{solution.residuals.duality_gap:.3e} after {solution.iterations} iterations"
         )
-    rounded = round_solution(solution.s_matrix, a_tilde, trials=trials, seed=seed)
+    rounded = round_solution(solution.s_matrix, p, window, trials=trials, seed=seed)
     y = recover_amplitudes(rounded.s, p, window)
 
     warnings = []

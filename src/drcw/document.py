@@ -38,7 +38,7 @@ def metrics_to_dict(report: MetricsReport) -> dict:
         "dmbr": float(report.dmbr),
         "pdsl": float(report.pdsl),
         "nag": float(report.nag),
-        "prsl_curve": [float(v) for v in report.prsl_curve],
+        "prsl_curve": np.asarray(report.prsl_curve, dtype=float).tolist(),
     }
 
 
@@ -61,8 +61,8 @@ def build_document(
         "seed": design.seed,
         "trials": design.trials,
         "grid": int(grid_points),
-        "s": [int(v) for v in design.transmit_order],
-        "w": [float(v) for v in design.weights],
+        "s": design.transmit_order.tolist(),
+        "w": design.weights.astype(float).tolist(),
         "objective": None if design.rounded_objective is None else float(design.rounded_objective),
         "sdp_bound": None if design.sdp_bound is None else float(design.sdp_bound),
         "warnings": list(design.warnings),

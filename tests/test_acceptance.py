@@ -96,7 +96,7 @@ def _random_partition_instance(rng):
         nulls = ((float(rng.uniform(0.2 * math.pi, 0.8 * math.pi)), 1),)
     spec = NullSpec(k0=k0, nulls=nulls)
     kind = ("rectangular", "hamming", "hanning", "blackman")[int(rng.integers(0, 4))]
-    return quadratic_form(constraint_basis(spec, m), window_template(kind, m))
+    return constraint_basis(spec, m), window_template(kind, m)
 
 
 def _scenario_document(kind: str, k0: int, nulls=()):
@@ -159,14 +159,15 @@ def test_criterion_3_sdp_rounding_oracle():
     matches = 0
     total = 20
     for _ in range(total):
-        form = _random_partition_instance(rng)
+        p, window = _random_partition_instance(rng)
+        form = quadratic_form(p, window)
         solution = solve_partition_sdp(form)
         assert solution.converged
         best, _ = brute_force_partition_max(form)
         scale = max(1.0, abs(best))
         assert solution.objective >= best - 1e-6 * scale
         seed = int(rng.integers(0, 2**31))
-        rounded = round_solution(solution.s_matrix, form, trials=1000, seed=seed)
+        rounded = round_solution(solution.s_matrix, p, window, trials=1000, seed=seed)
         assert rounded.objective >= 0.9 * best - 1e-12
         if rounded.objective >= best - 1e-9 * scale:
             matches += 1

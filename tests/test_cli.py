@@ -137,6 +137,21 @@ class TestDesignCommand:
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
 
+    def test_zero_trials_is_a_usage_error_before_any_solve(self, monkeypatch, capsys):
+        # this spec stalls the relaxation (exit 3), so the input must be
+        # rejected before the basis is built or the solver runs
+        def never(*args, **kwargs):
+            raise AssertionError("design work ran before trials were checked")
+
+        monkeypatch.setattr("drcw.design.constraint_basis", never)
+        monkeypatch.setattr("drcw.design.solve_partition_sdp", never)
+        code = run_cli(
+            "design", "nm", "--m", "96", "--k0", "28", "--window", "rectangular",
+            "--trials", "0",
+        )
+        assert code == 2
+        assert "trials must be positive" in capsys.readouterr().err
+
 
 class TestAnalyzeCommand:
     @pytest.fixture()

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from drcw.design import (
+    _BLOCK_BYTES,
+    _MIN_BLOCK_ROWS,
     DesignFailure,
     design_bd,
     design_nm_drcw,
@@ -33,21 +36,61 @@ def make_form(m, k0, kind="hamming"):
     return p, quadratic_form(p, window_template(kind, m))
 
 
+def make_case(m, spec, kind):
+    """(p, window, form, S) of a converged relaxation."""
+    p = constraint_basis(spec, m)
+    window = window_template(kind, m)
+    form = quadratic_form(p, window)
+    solution = solve_partition_sdp(form)
+    assert solution.converged
+    return p, window, form, solution.s_matrix
+
+
+def direct_sum_draws(s_matrix, form, trials, seed):
+    """Candidates from one (trials, M) draw and their scores s^T A s, each
+    summed over i and j in one einsum."""
+    lam, vecs = np.linalg.eigh(s_matrix)
+    factor = vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
+    r = np.random.default_rng(seed).standard_normal((trials, len(form)))
+    cands = np.where(r @ factor.T >= 0, 1, -1)
+    return cands, np.einsum("bi,ij,bj->b", cands, form, cands)
+
+
+def block_rows(m):
+    """Candidates per rounding block at M = m."""
+    return max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * m))
+
+
+def mirrors(s):
+    """s with its reversals Js and -Js: for a persymmetric form (J A J = A)
+    all three score the same in exact arithmetic."""
+    return (s, s[::-1], -s[::-1])
+
+
+# P = [1, -1]^T / sqrt(2) with a rectangular 2-pulse window: A = 1 1^T / 2,
+# so aligned signs score 2 and opposite signs 0
+ALIGN_P = np.array([[1.0], [-1.0]]) / math.sqrt(2.0)
+ALIGN_WINDOW = window_template("rectangular", 2)
+
+
 class TestRoundSolution:
     def test_rank_one_shortcut(self):
+        # P = 1/2 (one zero-Doppler moment): A = I - 1 1^T / 4 scores
+        # s_true as 4 - (1 + 1 + 1 - 1)^2 / 4 = 3
         s_true = np.array([1.0, -1.0, 1.0, 1.0])
-        shat = np.outer(s_true, s_true)
-        at = np.eye(4)
-        rounded = round_solution(shat, at, trials=10, seed=0)
+        p = constraint_basis(NullSpec(k0=1), 4)
+        rounded = round_solution(
+            np.outer(s_true, s_true), p, window_template("rectangular", 4), trials=10, seed=0
+        )
         assert rounded.used_rank1_shortcut
         assert np.array_equal(rounded.s, s_true) or np.array_equal(rounded.s, -s_true)
+        assert rounded.objective == pytest.approx(3.0, abs=1e-12)
 
     def test_identity_relaxation_finds_aligned_signs(self):
-        at = np.ones((2, 2))
-        rounded = round_solution(np.eye(2), at, trials=64, seed=1)
+        rounded = round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=64, seed=1)
         assert not rounded.used_rank1_shortcut
         assert abs(rounded.s[0]) == 1 and rounded.s[0] == rounded.s[1]
-        assert rounded.objective == pytest.approx(4.0)
+        assert rounded.objective == pytest.approx(2.0)
 
     def test_matches_exhaustive_on_small_instances(self):
         rng = np.random.default_rng(23)
@@ -55,10 +98,12 @@ class TestRoundSolution:
         total = 20
         for _ in range(total):
             m = int(rng.integers(4, 13))
-            _, form = make_form(m, int(rng.integers(1, m - 1)))
+            p, form = make_form(m, int(rng.integers(1, m - 1)))
             sol = solve_partition_sdp(form)
             seed = int(rng.integers(0, 2**31))
-            rounded = round_solution(sol.s_matrix, form, trials=1000, seed=seed)
+            rounded = round_solution(
+                sol.s_matrix, p, window_template("hamming", m), trials=1000, seed=seed
+            )
             best, _ = brute_force_partition_max(form)
             scale = max(1.0, abs(best))
             # bound sandwich: exhaustive and rounded both sit under the bound
@@ -70,44 +115,104 @@ class TestRoundSolution:
         assert hits >= int(0.8 * total)
 
     def test_deterministic_given_seed(self):
-        _, form = make_form(10, 3)
+        p, form = make_form(10, 3)
         sol = solve_partition_sdp(form)
-        a = round_solution(sol.s_matrix, form, trials=200, seed=42)
-        b = round_solution(sol.s_matrix, form, trials=200, seed=42)
+        window = window_template("hamming", 10)
+        a = round_solution(sol.s_matrix, p, window, trials=200, seed=42)
+        b = round_solution(sol.s_matrix, p, window, trials=200, seed=42)
         assert np.array_equal(a.s, b.s)
         assert a.objective == b.objective
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials"):
-            round_solution(np.eye(2), np.eye(2), trials=0, seed=0)
+            round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=0, seed=0)
 
     def test_clamps_negative_eigenvalues(self):
-        shat = np.array([[1.0, 0.999], [0.999, 1.0]])
-        shat[0, 1] = shat[1, 0] = 1.001  # slightly indefinite
-        rounded = round_solution(shat, np.ones((2, 2)), trials=16, seed=0)
+        shat = np.array([[1.0, 1.001], [1.001, 1.0]])  # slightly indefinite
+        rounded = round_solution(shat, ALIGN_P, ALIGN_WINDOW, trials=16, seed=0)
         assert rounded.clamped_eigenvalues or rounded.used_rank1_shortcut
-
 
     @pytest.mark.parametrize("k0", [10, 25])
     def test_pick_matches_direct_sum_up_to_mirror(self, k0):
         # A rectangular window with a zero-Doppler null alone gives a
         # persymmetric form (J A J = A), so s, its reversal Js and -Js score
-        # the same; the BLAS score may break such exact ties differently from
-        # the three-operand direct sum, but must otherwise pick the same s.
-        # Rectangular k0=25 at seeds 12 and 14 were such ties in one run.
+        # the same; the rank-K score may break such exact ties differently
+        # from the three-operand direct sum, but must otherwise pick the same
+        # s. Rectangular k0=25 at seeds 12 and 14 were such ties in one run.
         m, trials = 50, 10000
-        _, form = make_form(m, k0, "rectangular")
+        p, window, form, s_matrix = make_case(m, NullSpec(k0=k0), "rectangular")
         assert np.allclose(form, form[::-1, ::-1], atol=1e-12)
-        s_matrix = solve_partition_sdp(form).s_matrix
-        lam, vecs = np.linalg.eigh(s_matrix)
-        factor = vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))
         for seed in range(10, 16):
-            r = np.random.default_rng(seed).standard_normal((trials, m))
-            cands = np.where(r @ factor.T >= 0, 1, -1)
-            direct = cands[int(np.argmax(np.einsum("bi,ij,bj->b", cands, form, cands)))]
-            picked = round_solution(s_matrix, form, trials=trials, seed=seed).s
-            mirrors = (direct, direct[::-1], -direct[::-1])
-            assert any(np.array_equal(picked, c) for c in mirrors), seed
+            cands, scores = direct_sum_draws(s_matrix, form, trials, seed)
+            direct = cands[int(np.argmax(scores))]
+            picked = round_solution(s_matrix, p, window, trials=trials, seed=seed).s
+            assert any(np.array_equal(picked, c) for c in mirrors(direct)), seed
+
+    @pytest.mark.parametrize(
+        "m,spec,kind",
+        [
+            (50, NullSpec(k0=20), "hamming"),
+            (50, NullSpec(k0=30), "rectangular"),
+            (128, NullSpec(k0=40, nulls=((0.8 * math.pi, 10),)), "hamming"),
+        ],
+    )
+    def test_blockwise_pick_matches_one_shot_argmax(self, m, spec, kind):
+        # trials span several blocks and end inside a partial one; the
+        # direct-sum argmax of one (trials, M) draw must be the pick, up to
+        # the mirror ties Js and -Js, wherever in the draw it sits
+        p, window, form, s_matrix = make_case(m, spec, kind)
+        rows = block_rows(m)
+        trials = 3 * rows + rows // 3
+        outside_first_block = 0
+        for seed in range(6):
+            cands, scores = direct_sum_draws(s_matrix, form, trials, seed)
+            best = int(np.argmax(scores))
+            outside_first_block += best >= rows
+            rounded = round_solution(s_matrix, p, window, trials=trials, seed=seed)
+            assert any(np.array_equal(rounded.s, c) for c in mirrors(cands[best])), seed
+            s = rounded.s.astype(float)
+            assert abs(rounded.objective - float(s @ form @ s)) <= 1e-12 * m
+        assert outside_first_block >= 1
+
+    def test_exact_ties_keep_the_first_maximum(self):
+        # s and -s score exactly the same, and aligned pairs of both signs
+        # turn up in every block: the pick is the first one of the draw
+        rows = block_rows(2)
+        trials = 3 * rows + 5
+        for seed in range(4):
+            r = np.random.default_rng(seed).standard_normal((trials, 2))
+            first = r[int(np.argmax(np.sign(r[:, 0]) == np.sign(r[:, 1]))), 0]
+            rounded = round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=trials, seed=seed)
+            assert rounded.s.tolist() == [int(np.sign(first))] * 2, seed
+
+    def test_zero_direction_signs_plus_one(self):
+        # S has no weight on pulse 2, so every candidate has 0 there
+        p = constraint_basis(NullSpec(k0=1), 3)
+        window = window_template("rectangular", 3)
+        for seed in range(4):
+            rounded = round_solution(np.diag([1.0, 1.0, 0.0]), p, window, trials=50, seed=seed)
+            assert rounded.s[2] == 1
+
+    def test_memory_does_not_grow_with_trials(self):
+        # the draws live one block at a time: 100000 trials at M=128 would
+        # take 100 MB as one array, but must peak within twice 5000 trials
+        m = 128
+        p = constraint_basis(NullSpec(k0=8), m)
+        window = window_template("hamming", m)
+        g = np.random.default_rng(0).standard_normal((m, m // 2))
+        s_matrix = g @ g.T
+        s_matrix /= np.sqrt(np.outer(np.diag(s_matrix), np.diag(s_matrix)))
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                round_solution(s_matrix, p, window, trials=trials, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(5000), peak(100000)
+        assert large <= 2 * small, (small, large)
 
 
 class TestRecoverAmplitudes:
