@@ -3,8 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drcw import sdp
 from drcw.nullspec import NullSpec, constraint_basis, quadratic_form
-from drcw.sdp import _certificates_pass, _inverse_from_cholesky, solve_partition_sdp
+from drcw.sdp import (
+    _certificates_pass,
+    _inverse_from_cholesky,
+    _join,
+    _reversal_blocks,
+    solve_partition_sdp,
+)
 from drcw.sequences import window_template
 from oracles import brute_force_partition_max
 
@@ -16,6 +23,24 @@ def random_instance(rng, m):
     kind = ("rectangular", "hamming", "hanning", "blackman")[int(rng.integers(0, 4))]
     basis = constraint_basis(spec, m)
     return quadratic_form(basis, window_template(kind, m))
+
+
+def reversal_basis(m):
+    """The orthonormal Q whose columns are (e_i + e_{m-1-i})/sqrt(2), the
+    centre e_c for odd m, then (e_i - e_{m-1-i})/sqrt(2), for i < m // 2."""
+    h = m // 2
+    eye = np.eye(m)
+    plus = [(eye[i] + eye[m - 1 - i]) / np.sqrt(2.0) for i in range(h)]
+    if m % 2:
+        plus.append(eye[h])
+    minus = [(eye[i] - eye[m - 1 - i]) / np.sqrt(2.0) for i in range(h)]
+    return np.array(plus + minus).T
+
+
+def random_reversal_symmetric(rng, m):
+    r = rng.standard_normal((m, m))
+    r = r + r.T
+    return r + r[::-1, ::-1]
 
 
 class TestTrivialInstances:
@@ -108,6 +133,94 @@ class TestSolutionInvariants:
         assert a.iterations == b.iterations
 
 
+class TestReversalBlocks:
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 50, 51])
+    def test_split_matches_explicit_basis(self, m):
+        rng = np.random.default_rng(m)
+        a = random_reversal_symmetric(rng, m)
+        q = reversal_basis(m)
+        assert np.allclose(q.T @ q, np.eye(m), atol=1e-15)
+        expected = q.T @ a @ q
+        blocks = _reversal_blocks(a)
+        p = (m + 1) // 2
+        assert [b.shape for b in blocks] == [(p, p), (m - p, m - p)]
+        assert np.allclose(blocks[0], expected[:p, :p], rtol=0, atol=1e-13)
+        assert np.allclose(blocks[1], expected[p:, p:], rtol=0, atol=1e-13)
+        # and nothing couples the blocks
+        assert np.allclose(expected[:p, p:], 0.0, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 50, 51])
+    def test_join_matches_explicit_basis(self, m):
+        rng = np.random.default_rng(100 + m)
+        p = (m + 1) // 2
+        plus = rng.standard_normal((p, p))
+        minus = rng.standard_normal((m - p, m - p))
+        plus, minus = plus + plus.T, minus + minus.T
+        q = reversal_basis(m)
+        blockdiag = np.zeros((m, m))
+        blockdiag[:p, :p] = plus
+        blockdiag[p:, p:] = minus
+        s = _join([plus, minus], m)
+        assert np.allclose(s, q @ blockdiag @ q.T, rtol=0, atol=1e-13)
+        assert np.array_equal(s, s[::-1, ::-1])
+        assert np.array_equal(s, s.T)
+
+    def test_asymmetric_form_takes_one_block(self, monkeypatch):
+        # a reversal-asymmetric perturbation far above the split tolerance
+        rng = np.random.default_rng(21)
+        m = 11
+        form = random_instance(rng, m)
+        e = rng.standard_normal((m, m))
+        form = form + 1e-6 * np.linalg.norm(form) * (e + e.T)
+        assert np.linalg.norm(form - form[::-1, ::-1]) > 1e-8 * np.linalg.norm(form)
+        shapes = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            shapes.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        sol = solve_partition_sdp(form)
+        monkeypatch.undo()
+        assert set(shapes) == {(m, m)}
+        assert sol.converged
+        assert np.array_equal(np.diag(sol.s_matrix), np.ones(m))
+        assert sol.residuals.min_eigenvalue > 0
+        assert sol.residuals.min_eigenvalue == pytest.approx(
+            float(np.linalg.eigvalsh(sol.s_matrix)[0]), rel=1e-6
+        )
+        best, _ = brute_force_partition_max(form)
+        assert sol.dual_bound >= best
+        assert sol.objective >= best - 1e-6 * abs(best)
+
+
+class TestReversalCertificate:
+    """The bound, and S, of a solve in the two reversal blocks."""
+
+    CASES = [(m, 0.0) for m in range(2, 13)] + [(11, 1e-12), (12, 1e-12)]
+
+    @pytest.mark.parametrize("m,perturbation", CASES)
+    def test_bound_and_matrix(self, m, perturbation):
+        rng = np.random.default_rng(1000 + m)
+        form = random_reversal_symmetric(rng, m)
+        if perturbation:
+            e = rng.standard_normal((m, m))
+            form = form + perturbation * np.linalg.norm(form) * (e + e.T)
+            assert not np.array_equal(form, form[::-1, ::-1])
+        sol = solve_partition_sdp(form)
+        assert sol.converged
+        best, _ = brute_force_partition_max(form)
+        assert sol.dual_bound >= best
+        s = sol.s_matrix
+        assert np.array_equal(s, s[::-1, ::-1])
+        assert np.array_equal(np.diag(s), np.ones(m))
+        lam_min = float(np.linalg.eigvalsh(s)[0])
+        assert lam_min > 0
+        # the residual is read off the blocks' spectra, whose union is S's
+        assert sol.residuals.min_eigenvalue == pytest.approx(lam_min, rel=1e-6)
+
+
 class TestCholeskyInverse:
     @pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 127, 513])
     @pytest.mark.parametrize("cond", [1e2, 1e8, 1e12])
@@ -172,8 +285,9 @@ class TestStepCertificates:
         sol = solve_partition_sdp(form)
         assert sol.converged
         assert raised == []
-        # the initial factor plus one per accepted step
-        assert len(calls) == sol.iterations + 1
+        # the initial factors plus one per accepted step, each time one per
+        # reversal block
+        assert calls == [(128, 128)] * (2 * (sol.iterations + 1))
 
 
 class TestErrorHandling:
@@ -215,6 +329,43 @@ class TestErrorHandling:
         assert traced.converged == plain.converged
         assert len(traced.trace) == traced.iterations
 
+
+    def test_trace_only_observes_odd_mixed_spec(self, monkeypatch):
+        # odd M: the centre pulse sits in the larger block. The trace's
+        # diagonal column must be that of the assembled M x M iterate
+        m = 51
+        spec = NullSpec(k0=9, nulls=((0.3 * np.pi, 2),))
+        form = quadratic_form(constraint_basis(spec, m), window_template("hamming", m))
+        plain = solve_partition_sdp(form)
+        inverses = []
+        inverse = sdp._inverse_from_cholesky
+
+        def spy(L):
+            out = inverse(L)
+            inverses.append(out)
+            return out
+
+        monkeypatch.setattr(sdp, "_inverse_from_cholesky", spy)
+        traced = solve_partition_sdp(form, collect_trace=True)
+        monkeypatch.undo()
+        assert traced.iterations == plain.iterations
+        assert traced.s_matrix.tobytes() == plain.s_matrix.tobytes()
+        assert traced.converged == plain.converged
+        assert len(traced.trace) == traced.iterations
+        # the initial pair of block inverses, then one pair per iterate
+        assert [w.shape for w in inverses] == [(26, 26), (25, 25)] * (traced.iterations + 1)
+        q = reversal_basis(m)
+        for (it, pobj, _gap, diag_res), plus, minus in zip(
+            traced.trace, inverses[2::2], inverses[3::2]
+        ):
+            blockdiag = np.zeros((m, m))
+            blockdiag[:26, :26] = plus
+            blockdiag[26:, 26:] = minus
+            zinv = q @ blockdiag @ q.T
+            # X_i = Z^{-1}/t, whose objective is the trace's own
+            t = float(np.sum(form * zinv)) / pobj
+            expected = float(np.max(np.abs(np.diag(zinv) / t - 1.0)))
+            assert diag_res == pytest.approx(expected, rel=1e-9, abs=1e-12), it
 
 class TestEigendecompositionBackend:
     """The PSD machinery leans on the symmetric eigensolver; cross-check it."""
