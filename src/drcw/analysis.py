@@ -12,9 +12,12 @@ with G(theta) = sum w_m e^{j theta m} and F(theta) = sum s_m w_m e^{j theta m}.
 Complementarity kills the first term at every nonzero lag, so range
 sidelobes are proportional to |F| and the zero-lag Doppler profile to |G|.
 Every metric is therefore computed from F and G, which ``factors``
-evaluates on the uniform Doppler grid with one FFT; the full CAF
-(``composite_ambiguity``) is built from them, as the rank-2 sum above,
-only for the caf.csv/caf.svg exports.
+evaluates on the uniform Doppler grid with one FFT. The CAF itself
+(``composite_ambiguity``) is kept as that rank-2 factorization, the
+(2N-1) x 2 real coefficients and the 2 x G complex basis [G; F], and the
+caf.csv/caf.svg exports evaluate it one distinct row at a time. The dense
+lag x Doppler array is never held: at N=64 on 8192 points it would take
+16.6 MB, while the factors take 0.26 MB.
 
 Metrics: PRSL (peak range sidelobe level per Doppler bin), RSBA (the
 contiguous Doppler interval where PRSL stays below a blanking threshold),
@@ -78,11 +81,19 @@ class DopplerGrid:
 
 @dataclass(frozen=True)
 class CafGrid:
-    """Composite ambiguity samples, indexed (lag, doppler point)."""
+    """Composite ambiguity samples, indexed (lag, doppler point), as the
+    rank-2 factorization of the module docstring: the row at lag
+    ``lags[i]`` is ``coefficients[i] @ basis``.
+
+    ``coefficients`` is (2N-1) x 2 real, the columns (R1+R2)/2 and
+    (R1-R2)/2; ``basis`` is 2 x G complex, the rows G and F. Rows whose
+    coefficient bytes are equal are bitwise equal.
+    """
 
     lags: np.ndarray
     doppler: DopplerGrid
-    values: np.ndarray
+    coefficients: np.ndarray
+    basis: np.ndarray
 
     @property
     def n(self) -> int:
@@ -92,21 +103,44 @@ class CafGrid:
     def zero_lag_index(self) -> int:
         return self.n - 1
 
+    def row(self, i: int) -> np.ndarray:
+        """The CAF over the Doppler grid at lag ``lags[i]``."""
+        return _unsigned_zeros(self.coefficients[i] @ self.basis)
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (2N-1) x G array, built on each access; the exports
+        never read it."""
+        return _unsigned_zeros(self.coefficients @ self.basis)
+
     @property
     def peak(self) -> float:
         """Zero-lag zero-Doppler response N * sum(w), the global maximum."""
-        return abs(self.values[self.zero_lag_index, self.doppler.zero_index])
+        return abs(self.row(self.zero_lag_index)[self.doppler.zero_index])
+
+
+def _unsigned_zeros(values: np.ndarray) -> np.ndarray:
+    """``values`` with each -0.0 made +0.0, in place. The sign a BLAS
+    product gives an exact zero follows its kernel's order of operations
+    (the dense product and one row differ on odd grids), so rows and the
+    dense array hold the same zeros only once the sign is fixed."""
+    values += 0.0
+    return values
 
 
 def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid) -> CafGrid:
-    """R(k, theta) = sum_m w_m R_{x(m)}[k] e^{j theta m} on the grid, built as
-    the rank-2 sum (R1+R2)/2 G + (R1-R2)/2 F; only the CAF exports need it."""
+    """R(k, theta) = sum_m w_m R_{x(m)}[k] e^{j theta m} on the grid, as the
+    rank-2 factorization (R1+R2)/2 G + (R1-R2)/2 F."""
     r1 = acf(pair.x1).astype(float)
     r2 = acf(pair.x2).astype(float)
     f, g, _ = factors(design, grid)
-    values = (0.5 * np.column_stack([r1 + r2, r1 - r2])) @ np.stack([g, f])
-    caf = CafGrid(lags=np.arange(-(pair.n - 1), pair.n), doppler=grid, values=values)
-    peak = caf.values[caf.zero_lag_index, grid.zero_index]
+    caf = CafGrid(
+        lags=np.arange(-(pair.n - 1), pair.n),
+        doppler=grid,
+        coefficients=0.5 * np.column_stack([r1 + r2, r1 - r2]),
+        basis=np.stack([g, f]),
+    )
+    peak = caf.row(caf.zero_lag_index)[grid.zero_index]
     expected = pair.n * float(np.sum(design.weights))
     if abs(peak - expected) > 1e-9 * max(1.0, expected):
         raise AssertionError("zero-lag zero-Doppler response mismatch")

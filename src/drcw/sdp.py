@@ -65,7 +65,6 @@ class SolverFailure(RuntimeError):
 @dataclass(frozen=True)
 class SdpResiduals:
     diag_deviation: float
-    min_eigenvalue: float
     duality_gap: float
 
 
@@ -252,7 +251,7 @@ def solve_partition_sdp(
 
     if norm == 0.0:
         s = np.eye(M)
-        res = SdpResiduals(diag_deviation=0.0, min_eigenvalue=1.0, duality_gap=0.0)
+        res = SdpResiduals(diag_deviation=0.0, duality_gap=0.0)
         return SdpSolution(s, 0.0, 0.0, res, iterations=0, converged=True)
 
     # normalized problem: exact scale equivariance of the whole solve
@@ -346,8 +345,6 @@ def solve_partition_sdp(
     dobj += shift
     gap = dobj - pobj
 
-    # X's spectrum is the union of its blocks'
-    min_eig = min(float(np.linalg.eigvalsh(x)[0]) for x in X)
     S = _join(X, M)
     if rescaled:
         np.fill_diagonal(S, 1.0)
@@ -355,11 +352,7 @@ def solve_partition_sdp(
     dual_bound = dobj * norm
     diag_dev = float(np.max(np.abs(np.diag(S) - 1.0)))
     converged = (not exhausted) and gap <= tol * max(scale, abs(pobj))
-    res = SdpResiduals(
-        diag_deviation=diag_dev,
-        min_eigenvalue=min_eig,
-        duality_gap=gap * norm,
-    )
+    res = SdpResiduals(diag_deviation=diag_dev, duality_gap=gap * norm)
     return SdpSolution(
         s_matrix=S,
         objective=objective,

@@ -6,11 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from drcw import cli
 from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
     _H, _MB, _ML, _MR, _MT, _W, _svg_header, build_document, caf_csv, curve_csv,
-    document_to_design, dumps_document, svg_heatmap, svg_line_plot,
+    document_to_design, dumps_document, save_document, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
@@ -18,11 +19,12 @@ from drcw.sequences import generate_golay_pair, window_template
 
 def caf_csv_reference(caf):
     """caf.csv formatted cell by cell, one f-string per row."""
-    db = magnitude_db(caf.values, ref=caf.peak)
+    values = caf.values
+    db = magnitude_db(values, ref=caf.peak)
     rows = ["lag,theta_rad,re,im,mag_db"]
     for i, lag in enumerate(caf.lags.tolist()):
         for j, theta in enumerate(caf.doppler.points):
-            v = complex(caf.values[i, j])
+            v = complex(values[i, j])
             rows.append(f"{lag},{theta:.12g},{v.real:.12g},{v.imag:.12g},{db[i, j]:.12g}")
     return "\n".join(rows) + "\n"
 
@@ -196,25 +198,44 @@ class TestCsvFormat:
         assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_caf_csv_rows_that_nearly_repeat(self):
-        # a row is reused only when its bytes repeat: +0.0 and -0.0 rows, a
-        # negated row (same magnitudes and dB) and rows one ulp apart differ
+        # a row is reused only when its coefficient bytes repeat: a +0.0 and
+        # -0.0 pair, a negated pair (same magnitudes and dB) and coefficients
+        # one ulp apart each get rows of their own
         grid = DopplerGrid(9)
         rng = np.random.default_rng(3)
-        a = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        basis = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+        basis[0, grid.zero_index] = 1.0
+        basis[1, 2] = 1.0
         # the double nearest 1.000000000005 lies just above that .12g
-        # rounding midpoint and the one below it just under, so they print
-        # differently
+        # rounding midpoint and the one below it just under, so the rows
+        # they scale print differently
         hi = 1.000000000005
         lo = np.nextafter(hi, -np.inf)
         assert f"{lo:.12g}" != f"{hi:.12g}"
-        ulp_lo, ulp_hi = a.copy(), a.copy()
-        ulp_lo[2], ulp_hi[2] = lo, hi
-        peak = np.full(9, 10.0 + 0j)
-        plus_zero = np.zeros(9, dtype=complex)
-        minus_zero = np.full(9, complex(-0.0, -0.0))
-        values = np.stack([a, plus_zero, minus_zero, -a, peak, a, ulp_lo, ulp_hi, minus_zero])
-        caf = CafGrid(lags=np.arange(-4, 5), doppler=grid, values=values)
-        assert caf_csv_text(caf) == caf_csv_reference(caf)
+        coefficients = np.array([
+            [0.0, 3.0], [0.0, 0.0], [-0.0, -0.0], [0.0, -3.0], [10.0, 0.0],
+            [0.0, 3.0], [0.0, lo], [0.0, hi], [-0.0, -0.0],
+        ])
+        caf = CafGrid(lags=np.arange(-4, 5), doppler=grid, coefficients=coefficients, basis=basis)
+        assert caf.peak == 10.0
+        text = caf_csv_text(caf)
+        assert text == caf_csv_reference(caf)
+        rows = text.splitlines()[1:]
+        assert f"2,{grid.points[2]:.12g},{lo:.12g}," in rows[2 + 6 * 9]
+        assert f"3,{grid.points[2]:.12g},{hi:.12g}," in rows[2 + 7 * 9]
+
+    def test_exports_never_build_the_dense_caf(self, monkeypatch):
+        pair = generate_golay_pair(16)
+        d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
+        caf = composite_ambiguity(d, pair, DopplerGrid(1001))
+        csv, svg = caf_csv_reference(caf), svg_heatmap_reference(caf, "CAF")
+
+        def refuse(self):
+            raise AssertionError("the dense CAF was built")
+
+        monkeypatch.setattr(CafGrid, "values", property(refuse))
+        assert caf_csv_text(caf) == csv
+        assert svg_heatmap(caf, "CAF") == svg
 
     def test_caf_csv_nm_design_odd_grid(self):
         pair = generate_golay_pair(16)
@@ -248,6 +269,23 @@ class TestCsvFormat:
         size = path.stat().st_size
         assert path.read_text(encoding="utf-8") == caf_csv_reference(caf)
         assert peak < size / 2
+
+    def test_analyze_holds_less_than_the_dense_caf(self, tmp_path):
+        # N=64 on 8192 points: the dense 127 x 8192 complex array alone is
+        # 16.6 MB, and a whole analyze --svg stays below it
+        n, points = 64, 8192
+        design = design_bd(50)
+        metrics = compute_metrics(design, generate_golay_pair(n), DopplerGrid(points))
+        path = tmp_path / "design.json"
+        save_document(build_document(design, n=n, grid_points=points, metrics=metrics), path)
+        argv = ["analyze", str(path), "--out-dir", str(tmp_path / "out"), "--svg"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 * n - 1) * points * 16
 
 
 class TestSvgFormat:

@@ -79,7 +79,7 @@ class TestSolutionInvariants:
         assert sol.converged
         assert sol.residuals.diag_deviation <= 1e-6
         norm = np.linalg.norm(form)
-        assert sol.residuals.min_eigenvalue >= -1e-6 * (1 + norm)
+        assert np.linalg.eigvalsh(sol.s_matrix)[0] >= -1e-6 * (1 + norm)
         assert sol.residuals.duality_gap >= -1e-12
         assert sol.dual_bound >= sol.objective - 1e-12
 
@@ -94,7 +94,7 @@ class TestSolutionInvariants:
         scale = m * float(np.max(np.abs(np.linalg.eigvalsh(form))))
         assert sol.residuals.duality_gap <= tol * scale
         assert sol.residuals.diag_deviation <= 1e-6
-        assert sol.residuals.min_eigenvalue > 0
+        assert np.linalg.eigvalsh(sol.s_matrix)[0] > 0
 
     def test_psd_objective_at_least_trace(self):
         rng = np.random.default_rng(3)
@@ -186,10 +186,7 @@ class TestReversalBlocks:
         assert set(shapes) == {(m, m)}
         assert sol.converged
         assert np.array_equal(np.diag(sol.s_matrix), np.ones(m))
-        assert sol.residuals.min_eigenvalue > 0
-        assert sol.residuals.min_eigenvalue == pytest.approx(
-            float(np.linalg.eigvalsh(sol.s_matrix)[0]), rel=1e-6
-        )
+        assert np.linalg.eigvalsh(sol.s_matrix)[0] > 0
         best, _ = brute_force_partition_max(form)
         assert sol.dual_bound >= best
         assert sol.objective >= best - 1e-6 * abs(best)
@@ -215,10 +212,7 @@ class TestReversalCertificate:
         s = sol.s_matrix
         assert np.array_equal(s, s[::-1, ::-1])
         assert np.array_equal(np.diag(s), np.ones(m))
-        lam_min = float(np.linalg.eigvalsh(s)[0])
-        assert lam_min > 0
-        # the residual is read off the blocks' spectra, whose union is S's
-        assert sol.residuals.min_eigenvalue == pytest.approx(lam_min, rel=1e-6)
+        assert np.linalg.eigvalsh(s)[0] > 0
 
 
 class TestCholeskyInverse:
