@@ -16,8 +16,8 @@ evaluates on the uniform Doppler grid with one FFT. The CAF itself
 (``composite_ambiguity``) is kept as that rank-2 factorization, the
 (2N-1) x 2 real coefficients and the 2 x G complex basis [G; F], and the
 caf.csv/caf.svg exports evaluate it one distinct row at a time. The dense
-lag x Doppler array is never held: at N=64 on 8192 points it would take
-16.6 MB, while the factors take 0.26 MB.
+lag x Doppler array is never held: the factors take O(N + G) memory
+against its O(N G).
 
 Metrics: PRSL (peak range sidelobe level per Doppler bin), RSBA (the
 contiguous Doppler interval where PRSL stays below a blanking threshold),

@@ -158,6 +158,8 @@ def _interval_str(iv) -> str:
 
 
 def cmd_design(args) -> int:
+    pair = generate_golay_pair(args.n)
+    grid = DopplerGrid(args.grid)
     design = _design_from_args(args)
     if args.trace:
         rows = design.solver_trace
@@ -165,8 +167,6 @@ def cmd_design(args) -> int:
             f"{it},{obj:.12g},{gap:.12g},{dev:.12g}\n" for it, obj, gap, dev in rows
         )
         Path(args.trace).write_text(text, encoding="utf-8")
-    pair = generate_golay_pair(args.n)
-    grid = DopplerGrid(args.grid)
     metrics = compute_metrics(design, pair, grid)
     doc = doc_io.build_document(design, n=args.n, grid_points=args.grid, metrics=metrics)
     doc_io.save_document(doc, args.out)
@@ -183,11 +183,9 @@ def cmd_design(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    doc = doc_io.load_document(args.document)
-    design = doc_io.document_to_design(doc)
-    n = int(doc["n"])
-    grid = DopplerGrid(args.grid if args.grid else int(doc["grid"]))
-    pair = generate_golay_pair(n)
+    design, doc = doc_io.load_document(args.document)
+    grid = DopplerGrid(doc["grid"] if args.grid is None else args.grid)
+    pair = generate_golay_pair(doc["n"])
     f, g, _ = factors(design, grid)
     curve = prsl_curve(design, pair, f)
     g_db = magnitude_db(g)
@@ -203,14 +201,13 @@ def cmd_analyze(args) -> int:
         (out / "prsl.svg").write_text(
             doc_io.svg_line_plot(
                 grid.points, curve, "Peak range sidelobe level", "Doppler shift (rad/pulse)",
-                "PRSL (dB)", y_floor=-120.0,
+                "PRSL (dB)",
             ),
             encoding="utf-8",
         )
         (out / "doppler.svg").write_text(
             doc_io.svg_line_plot(
-                grid.points, g_db, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)",
-                y_floor=-120.0,
+                grid.points, g_db, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)"
             ),
             encoding="utf-8",
         )
@@ -235,9 +232,9 @@ def _table_rows(args) -> list[dict]:
             raise ValueError(f"k0={k0} violates k0 <= m-1 for m={args.m}")
     pair = generate_golay_pair(args.n)
     grid = DopplerGrid(args.grid)
+    templates = [(kind, window_template(kind, args.m)) for kind in windows]
     rows = []
-    for kind in windows:
-        window = window_template(kind, args.m)
+    for kind, window in templates:
         for k0 in k0_values:
             design = design_nm_drcw(
                 args.m,
@@ -305,7 +302,7 @@ def _metric_numbers(metrics: dict) -> np.ndarray:
 
 
 def _verify_document(path: str) -> int:
-    doc = doc_io.load_document(path)
+    design, doc = doc_io.load_document(path)
     failures = []
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -315,14 +312,7 @@ def _verify_document(path: str) -> int:
         if not ok:
             failures.append(name)
 
-    try:
-        design = doc_io.document_to_design(doc)
-    except ValueError as exc:
-        print(f"FAIL: document arrays ({exc})")
-        return 1
-    m = design.m
-    n = int(doc["n"])
-
+    m, n = design.m, doc["n"]
     pair = generate_golay_pair(n)
     check(f"complementary pair n={n}", verify_complementary(pair.x1, pair.x2).ok)
 
@@ -337,8 +327,7 @@ def _verify_document(path: str) -> int:
         f"worst residual {violation:.3e}",
     )
 
-    obj = doc.get("objective")
-    bound = doc.get("sdp_bound")
+    obj, bound = design.rounded_objective, design.sdp_bound
     if obj is not None and bound is not None:
         check(
             "rounded objective within relaxation bound",
@@ -346,7 +335,7 @@ def _verify_document(path: str) -> int:
             f"{obj:.6f} <= {bound:.6f}",
         )
 
-    fresh = doc_io.metrics_to_dict(compute_metrics(design, pair, DopplerGrid(int(doc["grid"]))))
+    fresh = doc_io.metrics_to_dict(compute_metrics(design, pair, DopplerGrid(doc["grid"])))
     stored = doc["metrics"]
     name = "re-analysis reproduces embedded metrics"
     stored_counts = (len(stored["rsba"]), len(stored["prsl_curve"]))

@@ -28,6 +28,7 @@ import numpy as np
 from .analysis import CafGrid, DopplerGrid, MetricsReport, magnitude_db
 from .design import DesignResult
 from .nullspec import NullSpec
+from .sequences import WINDOW_KINDS
 
 SCHEMA_VERSION = 3
 
@@ -105,112 +106,108 @@ def save_document(doc: dict, path) -> None:
     Path(path).write_text(dumps_document(doc), encoding="utf-8")
 
 
-def load_document(path) -> dict:
+def load_document(path) -> tuple[DesignResult, dict]:
+    """The design a document file holds, with the parsed document, every
+    field of which ``document_to_design`` has checked."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read design document {path}: {exc}") from exc
-    validate_document(doc)
-    return doc
+    return document_to_design(doc), doc
 
 
-def validate_document(doc: dict) -> None:
-    if not isinstance(doc, dict):
+def _field(record: dict, name: str, what: str, ok):
+    """The value of the field ``name`` (dotted from the document's root) in
+    ``record``, its innermost object; ValueError naming the field if it is
+    missing or its value fails ``ok``."""
+    key = name.rpartition(".")[2]
+    if key not in record:
+        raise ValueError(f"design document is missing field {name!r}")
+    if not ok(record[key]):
+        raise ValueError(f"design document field {name!r} must be {what}")
+    return record[key]
+
+
+# JSON loads a number as int or float, true and false as bool, which is neither
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_optional(ok):
+    return lambda value: value is None or ok(value)
+
+
+def _list_of(ok):
+    return lambda value: type(value) is list and all(ok(v) for v in value)
+
+
+def _is_object(value) -> bool:
+    return type(value) is dict
+
+
+def _is_null_pair(value) -> bool:
+    # [theta, order]
+    return type(value) is list and len(value) == 2 and _is_number(value[0]) and _is_int(value[1])
+
+
+def _is_interval(value) -> bool:
+    # an RSBA entry; a missing bound reads as None
+    return _is_object(value) and all(_is_number(value.get(k)) for k in ("center", "lo", "hi"))
+
+
+def document_to_design(doc) -> DesignResult:
+    """Read a design document and rebuild its design (y = s o w).
+
+    This is what makes a document valid. Every field that
+    ``build_document`` writes is read and checked for type and value, the
+    metrics too, and the first field that is missing or wrong raises
+    ValueError naming it. ``window``, ``seed``, ``trials``, ``objective``
+    and ``sdp_bound`` are null for designs that have none.
+    """
+    if not _is_object(doc):
         raise ValueError("design document must be a JSON object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(
             f"unsupported schema_version {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}"
         )
-    for key in ("method", "m", "n", "null_spec", "s", "w", "grid", "metrics"):
-        if key not in doc:
-            raise ValueError(f"design document is missing field {key!r}")
-    nested = {
-        "null_spec": ("k0", "nulls"),
-        "metrics": ("rsba", "dmbr", "pdsl", "nag", "prsl_curve"),
-    }
-    for record, keys in nested.items():
-        if not isinstance(doc[record], dict):
-            raise ValueError(f"design document field {record!r} must be an object")
-        for key in keys:
-            if key not in doc[record]:
-                raise ValueError(f"design document is missing field '{record}.{key}'")
-    ns, metrics = doc["null_spec"], doc["metrics"]
-    number, integer = "a number", "an integer"
-    numbers, optional = "a list of numbers", "a number or null"
-    typed = [
-        ("m", _is_int(doc["m"]), integer),
-        ("n", _is_int(doc["n"]), integer),
-        ("grid", _is_int(doc["grid"]), integer),
-        ("null_spec.k0", _is_int(ns["k0"]) and ns["k0"] >= 0, "an integer >= 0"),
-        ("null_spec.nulls", _is_list(ns["nulls"], _is_null_pair), "[number, integer] pairs"),
-        ("s", _is_list(doc["s"], _is_number), numbers),
-        ("w", _is_list(doc["w"], _is_number), numbers),
-        ("objective", doc.get("objective") is None or _is_number(doc["objective"]), optional),
-        ("sdp_bound", doc.get("sdp_bound") is None or _is_number(doc["sdp_bound"]), optional),
-        ("warnings", _is_list(doc.get("warnings", []), _is_str), "a list of strings"),
-        ("metrics.rsba", _is_list(metrics["rsba"], _is_interval), "a list of {center, lo, hi}"),
-        ("metrics.dmbr", _is_number(metrics["dmbr"]), number),
-        ("metrics.pdsl", _is_number(metrics["pdsl"]), number),
-        ("metrics.nag", _is_number(metrics["nag"]), number),
-        ("metrics.prsl_curve", _is_list(metrics["prsl_curve"], _is_number), numbers),
-    ]
-    for field, ok, what in typed:
-        if not ok:
-            raise ValueError(f"design document field {field!r} must be {what}")
-    m = doc["m"]
-    if len(doc["s"]) != m or len(doc["w"]) != m:
-        raise ValueError("s and w arrays must have length m")
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_list(value, item_ok) -> bool:
-    return isinstance(value, list) and all(item_ok(v) for v in value)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_null_pair(value) -> bool:
-    # [theta, order]
-    return (
-        isinstance(value, list) and len(value) == 2 and _is_number(value[0]) and _is_int(value[1])
-    )
-
-
-def _is_interval(value) -> bool:
-    # an RSBA entry; a missing bound reads as None
-    return isinstance(value, dict) and all(_is_number(value.get(k)) for k in ("center", "lo", "hi"))
-
-
-def document_to_design(doc: dict) -> DesignResult:
-    """Rebuild an in-memory design from a document (y = s o w)."""
-    s = np.array(doc["s"], dtype=float)
-    w = np.array(doc["w"], dtype=float)
-    if not np.all(np.abs(s) == 1):
-        raise ValueError("document transmit order must contain only +1/-1")
-    if np.any(w < 0):
-        raise ValueError("document weights must be nonnegative")
-    ns = doc["null_spec"]
-    spec = NullSpec(k0=int(ns["k0"]), nulls=tuple((float(t), int(k)) for t, k in ns["nulls"]))
+    method = _field(doc, "method", "a string", lambda v: type(v) is str)
+    m = _field(doc, "m", "an integer >= 1", lambda v: _is_int(v) and v >= 1)
+    _field(doc, "n", "an integer", _is_int)
+    _field(doc, "grid", "an integer", _is_int)
+    ns = _field(doc, "null_spec", "an object", _is_object)
+    k0 = _field(ns, "null_spec.k0", "an integer >= 0", lambda v: _is_int(v) and v >= 0)
+    nulls = _field(ns, "null_spec.nulls", "[number, integer] pairs", _list_of(_is_null_pair))
+    window = _field(doc, "window", "a window kind or null", _is_optional(WINDOW_KINDS.__contains__))
+    seed = _field(doc, "seed", "an integer or null", _is_optional(_is_int))
+    positive = _is_optional(lambda v: _is_int(v) and v >= 1)
+    trials = _field(doc, "trials", "an integer >= 1 or null", positive)
+    s = _field(doc, "s", "a list of +1/-1", _list_of(lambda v: _is_number(v) and abs(v) == 1))
+    w = _field(doc, "w", "a list of numbers >= 0", _list_of(lambda v: _is_number(v) and v >= 0))
+    if len(s) != m or len(w) != m:
+        raise ValueError(f"design document fields 's' and 'w' must each have m = {m} entries")
+    optional = "a number or null"
+    objective = _field(doc, "objective", optional, _is_optional(_is_number))
+    bound = _field(doc, "sdp_bound", optional, _is_optional(_is_number))
+    warnings = _field(doc, "warnings", "a list of strings", _list_of(lambda v: type(v) is str))
+    metrics = _field(doc, "metrics", "an object", _is_object)
+    _field(metrics, "metrics.rsba", "a list of {center, lo, hi}", _list_of(_is_interval))
+    for key in ("dmbr", "pdsl", "nag"):
+        _field(metrics, f"metrics.{key}", "a number", _is_number)
+    _field(metrics, "metrics.prsl_curve", "a list of numbers", _list_of(_is_number))
     return DesignResult(
-        y=s * w,
-        method=doc["method"],
-        null_spec=spec,
-        window_kind=doc.get("window"),
-        seed=doc.get("seed"),
-        trials=doc.get("trials"),
-        rounded_objective=doc.get("objective"),
-        sdp_bound=doc.get("sdp_bound"),
-        warnings=tuple(doc.get("warnings", ())),
+        y=np.array(s, dtype=float) * np.array(w, dtype=float),
+        method=method,
+        null_spec=NullSpec(k0=k0, nulls=nulls),
+        window_kind=window,
+        seed=seed,
+        trials=trials,
+        rounded_objective=objective,
+        sdp_bound=bound,
+        warnings=tuple(warnings),
     )
 
 
@@ -258,9 +255,7 @@ def caf_csv(caf: CafGrid, out) -> None:
     repeat because the pair is complementary: at k != 0 the row is
     (R1-R2)[k]/2 * F, and the integer (R1-R2)[k]/2 takes few values (13
     distinct rows of 127 at N=64). So memory follows the distinct rows, not
-    the size of the file: a whole ``drcw analyze`` at N=64 on 8192 points
-    peaks at about 9 MB of Python allocations, against 16.6 MB for the
-    dense array alone.
+    the size of the file.
     """
     template = "\n".join(f"{t},%.12g,%.12g,%.12g" for t in _theta_text(caf.doppler))
     peak = caf.peak
@@ -279,6 +274,10 @@ def caf_csv(caf: CafGrid, out) -> None:
 
 _W, _H = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+# line plots clip their curve below this level; heatmaps shade from 0 dB
+# (black) to _DB_MIN (white) in at most _MAX_COLS Doppler columns
+_Y_FLOOR = -120.0
+_DB_MIN, _MAX_COLS = -100.0, 200
 
 
 def _svg_header(title: str) -> list[str]:
@@ -291,11 +290,9 @@ def _svg_header(title: str) -> list[str]:
     ]
 
 
-def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str, y_floor: float | None = None) -> str:
+def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if y_floor is not None:
-        ys = np.maximum(ys, y_floor)
+    ys = np.maximum(np.asarray(ys, dtype=float), _Y_FLOOR)
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     if y1 == y0:
@@ -341,22 +338,22 @@ def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str, y_floor: float |
     return "\n".join(parts) + "\n"
 
 
-def svg_heatmap(caf: CafGrid, title: str, db_min: float = -100.0, max_cols: int = 200) -> str:
+def svg_heatmap(caf: CafGrid, title: str) -> str:
     """Grayscale range-Doppler map of the CAF magnitude in dB.
 
-    Doppler columns are max-pooled down to at most ``max_cols`` cells so the
-    file stays manageable; the pooling preserves sidelobe peaks. Each
+    Doppler columns are max-pooled down to at most ``_MAX_COLS`` cells so
+    the file stays manageable; the pooling preserves sidelobe peaks. Each
     distinct CAF row is evaluated and pooled once, so only the pooled
-    (2N-1) x ``max_cols`` magnitudes are held.
+    (2N-1) x ``_MAX_COLS`` magnitudes are held.
     """
     n_cols = caf.doppler.size
-    stride = max(1, int(math.ceil(n_cols / max_cols)))
+    stride = max(1, int(math.ceil(n_cols / _MAX_COLS)))
     starts = np.arange(0, n_cols, stride)
     pooled = _distinct_rows(caf, lambda row: np.maximum.reduceat(np.abs(row), starts))
     mags = np.stack([row for _, row in pooled])
-    db = np.clip(magnitude_db(mags, ref=caf.peak), db_min, 0.0)
-    # 0 dB -> black, db_min -> white; np.rint rounds half to even, as round does
-    levels = np.rint(255 * db / db_min).astype(int)
+    db = np.clip(magnitude_db(mags, ref=caf.peak), _DB_MIN, 0.0)
+    # np.rint rounds half to even, as round does
+    levels = np.rint(255 * db / _DB_MIN).astype(int)
     rows, cols = db.shape
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / cols, ph / rows

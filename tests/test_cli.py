@@ -152,6 +152,29 @@ class TestDesignCommand:
         assert code == 2
         assert "trials must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "nm", "--n", "63"),
+            ("design", "nm", "--grid", "1"),
+            ("table", "--n", "63"),
+            ("table", "--grid", "1"),
+            ("table", "--windows", "hamming,bogus"),
+        ],
+        ids=" ".join,
+    )
+    def test_bad_argument_is_rejected_before_any_design(self, argv, monkeypatch, tmp_path):
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before the arguments were checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        trace = tmp_path / "t.csv"
+        argv += ("--m", "12", "--k0", "3")
+        if argv[0] == "design":
+            argv += ("--trace", str(trace), "-o", str(tmp_path / "d"))
+        assert run_cli(*argv) == 2
+        assert not trace.exists()
+
 
 class TestAnalyzeCommand:
     @pytest.fixture()
@@ -186,6 +209,13 @@ class TestAnalyzeCommand:
             text = (outdir / name).read_text()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+    def test_zero_grid_is_usage_error(self, document, tmp_path, capsys):
+        # --grid 0 is not "the document's grid"
+        outdir = tmp_path / "z"
+        assert run_cli("analyze", str(document), "--out-dir", str(outdir), "--grid", "0") == 2
+        assert "at least 2 points, got 0" in capsys.readouterr().err
+        assert not (outdir / "prsl.csv").exists()
 
     def test_unreadable_document_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -341,8 +371,8 @@ class TestVerifyCommand:
 
 class TestMalformedDocument:
     """A document missing a nested field, or holding a field of the wrong
-    type, is a validation error (exit 2) for every command that reads
-    documents, and the message names the field."""
+    type or out of range, is a validation error (exit 2) for every command
+    that reads documents, and the message names the field."""
 
     @pytest.fixture(scope="class")
     def document(self, tmp_path_factory):
@@ -400,6 +430,10 @@ class TestMalformedDocument:
         ("metrics.nag", [True, "x", [1.0], None]),
         ("metrics.rsba", [5, "x", [5], None]),
         ("metrics.rsba.0.center", [True, "x", [1.0], None]),
+        ("method", [5, ["nm_drcw"], None]),
+        ("window", [5, "bogus", ["hamming"], True]),
+        ("seed", [1.5, "0", [0], True]),
+        ("trials", [0, 1.5, "1000", [1000], True]),
     ]
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
@@ -416,6 +450,15 @@ class TestMalformedDocument:
         assert self.run_on(doc, command, tmp_path) == 2
         named = "metrics.rsba" if field.startswith("metrics.rsba") else field
         assert f"'{named}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("field,value", [("s", 0.5), ("w", -0.1)])
+    def test_array_entry_out_of_range(self, document, tmp_path, capsys, command, field, value):
+        # a transmit order is +/-1 and weights are >= 0
+        doc = json.loads(json.dumps(document))
+        doc[field][0] = value
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert f"field '{field}'" in capsys.readouterr().err
 
 
 class TestSubprocessEntry:

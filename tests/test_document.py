@@ -289,23 +289,19 @@ class TestCsvFormat:
 
 
 class TestSvgFormat:
-    @pytest.mark.parametrize("y_floor", (None, -120.0))
-    def test_line_plot(self, y_floor):
+    def test_line_plot(self):
+        # the curve is clipped at -120 dB, below which 13 points lie
         grid = DopplerGrid(513)
         rng = np.random.default_rng(4)
         ys = np.concatenate([np.full(13, -300.0), rng.uniform(-140.0, 0.0, 500)])
         args = (grid.points, ys, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)")
-        assert svg_line_plot(*args, y_floor=y_floor) == svg_line_plot_reference(
-            *args, y_floor=y_floor
-        )
+        assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
 
     def test_flat_line_plot(self):
         # y1 == y0: the plot spans one dB above the flat level
         grid = DopplerGrid(64)
         args = (grid.points, np.full(64, -300.0), "flat", "x", "y")
-        assert svg_line_plot(*args, y_floor=-120.0) == svg_line_plot_reference(
-            *args, y_floor=-120.0
-        )
+        assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
 
     def test_heatmap_with_a_partial_last_column(self):
         # 1001 Doppler points pool by a stride of 6 into 167 columns, the
