@@ -218,50 +218,45 @@ class DopplerInterval:
         return min(self.center - self.lo, self.hi - self.center)
 
 
-def rsba(
-    curve: np.ndarray,
-    grid: DopplerGrid,
-    center: float = 0.0,
-    threshold: float = BLANKING_THRESHOLD_DB,
-) -> DopplerInterval:
+def _run(ok: np.ndarray, i: int) -> tuple[int, int]:
+    """Ends (lo, hi) of the run grown outward from index ``i`` while the
+    next entry of the boolean mask ``ok`` on that side is True; ``ok[i]``
+    itself is not read."""
+    lo = hi = i
+    while lo > 0 and ok[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(ok) and ok[hi + 1]:
+        hi += 1
+    return lo, hi
+
+
+def rsba(curve: np.ndarray, grid: DopplerGrid, center: float = 0.0) -> DopplerInterval:
     """Maximal contiguous grid interval containing ``center`` where the
-    PRSL curve stays below ``threshold``. Returns an empty interval when
-    the center itself is not below threshold."""
+    PRSL curve stays below BLANKING_THRESHOLD_DB. Returns an empty interval
+    when the center itself is not below threshold."""
     curve = np.asarray(curve, dtype=float)
     if curve.shape != grid.points.shape:
         raise ValueError("curve length does not match grid")
     idx = grid.index_of(center)
     snapped = float(grid.points[idx])
-    if not curve[idx] < threshold:
+    below = curve < BLANKING_THRESHOLD_DB
+    if not below[idx]:
         return DopplerInterval(center=snapped, lo=snapped, hi=snapped)
-    below = curve < threshold
-    lo = hi = idx
-    while lo - 1 >= 0 and below[lo - 1]:
-        lo -= 1
-    while hi + 1 < grid.size and below[hi + 1]:
-        hi += 1
+    lo, hi = _run(below, idx)
     return DopplerInterval(center=snapped, lo=float(grid.points[lo]), hi=float(grid.points[hi]))
 
 
 def _crossing_width(mag: np.ndarray, grid: DopplerGrid, level: float) -> float:
     """Width of the region around theta=0 where mag >= level, with the edge
     positions linearly interpolated between bracketing samples."""
-    z = grid.zero_index
+    lo, hi = _run(mag >= level, grid.zero_index)
+    if lo == 0 or hi == len(mag) - 1:
+        raise ValueError("mainlobe edge not resolvable on this grid")
     pts = grid.points
-    i = z
-    while i + 1 < len(mag) and mag[i + 1] >= level:
-        i += 1
-    if i + 1 >= len(mag):
-        raise ValueError("mainlobe edge not resolvable on this grid")
-    frac = (mag[i] - level) / (mag[i] - mag[i + 1])
-    right = pts[i] + frac * (pts[i + 1] - pts[i])
-    i = z
-    while i - 1 >= 0 and mag[i - 1] >= level:
-        i -= 1
-    if i - 1 < 0:
-        raise ValueError("mainlobe edge not resolvable on this grid")
-    frac = (mag[i] - level) / (mag[i] - mag[i - 1])
-    left = pts[i] - frac * (pts[i] - pts[i - 1])
+    frac = (mag[hi] - level) / (mag[hi] - mag[hi + 1])
+    right = pts[hi] + frac * (pts[hi + 1] - pts[hi])
+    frac = (mag[lo] - level) / (mag[lo] - mag[lo - 1])
+    left = pts[lo] - frac * (pts[lo] - pts[lo - 1])
     return float(right - left)
 
 
@@ -285,21 +280,16 @@ def pdsl(g_mag, grid: DopplerGrid) -> float:
     g = np.asarray(g_mag, dtype=float)
     z = grid.zero_index
     g = np.where(g > ZERO_LEVEL * g[z], g, 0.0)
-    i = z
-    while i + 1 < len(g) and g[i + 1] <= g[i]:
-        i += 1
-    right_min = i if i + 1 < len(g) else None
-    i = z
-    while i - 1 >= 0 and g[i - 1] <= g[i]:
-        i -= 1
-    left_min = i if i - 1 >= 0 else None
-    if right_min is None and left_min is None:
+    # g does not rise going right from z, nor going left
+    _, right = _run(np.append(False, g[1:] <= g[:-1]), z)
+    left, _ = _run(np.append(g[:-1] <= g[1:], False), z)
+    if left == 0 and right == len(g) - 1:
         raise ValueError("no Doppler sidelobe region: |G| is monotone to both grid edges")
     peak_side = 0.0
-    if right_min is not None:
-        peak_side = max(peak_side, float(g[right_min:].max()))
-    if left_min is not None:
-        peak_side = max(peak_side, float(g[: left_min + 1].max()))
+    if right < len(g) - 1:
+        peak_side = max(peak_side, float(g[right:].max()))
+    if left > 0:
+        peak_side = max(peak_side, float(g[: left + 1].max()))
     return 20.0 * math.log10(peak_side / g[z])
 
 

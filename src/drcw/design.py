@@ -236,29 +236,29 @@ def design_nm_drcw(
 
 
 def _alternating(m: int) -> np.ndarray:
-    if m < 1:
-        raise ValueError(f"pulse count must be >= 1, got {m}")
     s = np.ones(m, dtype=np.int64)
     s[1::2] = -1
     return s
 
 
-def _baseline(method: str, s: np.ndarray, w: np.ndarray, k0: int) -> DesignResult:
-    """A fixed design y = s o w whose only null is order k0 at zero Doppler."""
-    return DesignResult(y=s * w, method=method, null_spec=NullSpec(k0=k0))
+def _baseline(method: str, m: int, order, weights, k0: int) -> DesignResult:
+    """A fixed design y = order(m) o weights(m), nulled to order k0 at 0."""
+    if m < 2:
+        raise ValueError(f"pulse count must be >= 2, got {m}")
+    return DesignResult(y=order(m) * weights(m), method=method, null_spec=NullSpec(k0=k0))
 
 
 def design_bd(m: int) -> DesignResult:
     """Alternating order with binomial weights: y proportional to the
     coefficients of (1-z)^(M-1), an order-(M-1) null at zero Doppler."""
-    return _baseline("bd", _alternating(m), binomial_weights(m), m - 1)
+    return _baseline("bd", m, _alternating, binomial_weights, m - 1)
 
 
 def design_ptm(m: int) -> DesignResult:
     """Prouhet-Thue-Morse order with unit weights: order log2(M) null."""
-    return _baseline("ptm", ptm_order(m), np.ones(m), m.bit_length() - 1)
+    return _baseline("ptm", m, ptm_order, np.ones, m.bit_length() - 1)
 
 
 def design_uniform(m: int) -> DesignResult:
     """Unweighted alternating train; the accumulation-gain reference."""
-    return _baseline("uniform", _alternating(m), np.ones(m), 1 if m % 2 == 0 else 0)
+    return _baseline("uniform", m, _alternating, np.ones, 1 if m % 2 == 0 else 0)

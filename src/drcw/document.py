@@ -145,6 +145,10 @@ def _list_of(ok):
     return lambda value: type(value) is list and all(ok(v) for v in value)
 
 
+def _sized(ok, size: int):
+    return lambda value: ok(value) and len(value) == size
+
+
 def _is_object(value) -> bool:
     return type(value) is dict
 
@@ -175,9 +179,9 @@ def document_to_design(doc) -> DesignResult:
             f"unsupported schema_version {doc.get('schema_version')!r}; expected {SCHEMA_VERSION}"
         )
     method = _field(doc, "method", "a string", lambda v: type(v) is str)
-    m = _field(doc, "m", "an integer >= 1", lambda v: _is_int(v) and v >= 1)
+    m = _field(doc, "m", "an integer >= 2", lambda v: _is_int(v) and v >= 2)
     _field(doc, "n", "an integer", _is_int)
-    _field(doc, "grid", "an integer", _is_int)
+    grid = _field(doc, "grid", "an integer >= 2", lambda v: _is_int(v) and v >= 2)
     ns = _field(doc, "null_spec", "an object", _is_object)
     k0 = _field(ns, "null_spec.k0", "an integer >= 0", lambda v: _is_int(v) and v >= 0)
     nulls = _field(ns, "null_spec.nulls", "[number, integer] pairs", _list_of(_is_null_pair))
@@ -194,10 +198,12 @@ def document_to_design(doc) -> DesignResult:
     bound = _field(doc, "sdp_bound", optional, _is_optional(_is_number))
     warnings = _field(doc, "warnings", "a list of strings", _list_of(lambda v: type(v) is str))
     metrics = _field(doc, "metrics", "an object", _is_object)
-    _field(metrics, "metrics.rsba", "a list of {center, lo, hi}", _list_of(_is_interval))
+    per_centre = f"a list of {1 + len(nulls)} {{center, lo, hi}}, one per null centre"
+    _field(metrics, "metrics.rsba", per_centre, _sized(_list_of(_is_interval), 1 + len(nulls)))
     for key in ("dmbr", "pdsl", "nag"):
         _field(metrics, f"metrics.{key}", "a number", _is_number)
-    _field(metrics, "metrics.prsl_curve", "a list of numbers", _list_of(_is_number))
+    per_point = f"a list of {grid} numbers, one per grid point"
+    _field(metrics, "metrics.prsl_curve", per_point, _sized(_list_of(_is_number), grid))
     return DesignResult(
         y=np.array(s, dtype=float) * np.array(w, dtype=float),
         method=method,
@@ -274,20 +280,33 @@ def caf_csv(caf: CafGrid, out) -> None:
 
 _W, _H = 860, 520
 _ML, _MR, _MT, _MB = 70, 20, 40, 50
+_PW, _PH = _W - _ML - _MR, _H - _MT - _MB
 # line plots clip their curve below this level; heatmaps shade from 0 dB
 # (black) to _DB_MIN (white) in at most _MAX_COLS Doppler columns
 _Y_FLOOR = -120.0
 _DB_MIN, _MAX_COLS = -100.0, 200
+_BORDER = f'<rect x="{_ML}" y="{_MT}" width="{_PW}" height="{_PH}" fill="none" stroke="black"/>'
 
 
-def _svg_header(title: str) -> list[str]:
-    return [
+def _svg(title: str, body: list[str], xlabel: str, ylabel: str) -> str:
+    """The SVG document: the title, ``body`` (which draws the plot border
+    ``_BORDER`` where it belongs in its stacking order) and the axis
+    labels."""
+    parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
         f'<text x="{_W // 2}" y="24" text-anchor="middle" font-family="sans-serif" '
         f'font-size="16">{title}</text>',
+        *body,
+        f'<text x="{_ML + _PW / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>',
+        f'<text x="16" y="{_MT + _PH / 2:.1f}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13" '
+        f'transform="rotate(-90 16 {_MT + _PH / 2:.1f})">{ylabel}</text>',
+        "</svg>",
     ]
+    return "\n".join(parts) + "\n"
 
 
 def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
@@ -297,45 +316,30 @@ def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
     y0, y1 = float(ys.min()), float(ys.max())
     if y1 == y0:
         y1 = y0 + 1.0
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
 
     def px(x):
-        return _ML + (x - x0) / (x1 - x0) * pw
+        return _ML + (x - x0) / (x1 - x0) * _PW
 
     def py(y):
-        return _MT + (y1 - y) / (y1 - y0) * ph
+        return _MT + (y1 - y) / (y1 - y0) * _PH
 
-    parts = _svg_header(title)
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
-    )
     # px and py on whole arrays do the scalar operations in the same order,
     # so every coordinate rounds as it would point by point
     coords = np.stack([px(xs), py(ys)], axis=1).ravel().tolist()
     pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
-    parts.append(f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1"/>')
+    body = [_BORDER, f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1"/>']
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
-        parts.append(
+        body.append(
             f'<text x="{px(xv):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{xv:.3g}</text>'
         )
-        parts.append(
+        body.append(
             f'<text x="{_ML - 8}" y="{py(yv):.1f}" text-anchor="end" '
             f'font-family="sans-serif" font-size="11">{yv:.4g}</text>'
         )
-    parts.append(
-        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">{ylabel}</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _svg(title, body, xlabel, ylabel)
 
 
 def svg_heatmap(caf: CafGrid, title: str) -> str:
@@ -355,28 +359,15 @@ def svg_heatmap(caf: CafGrid, title: str) -> str:
     # np.rint rounds half to even, as round does
     levels = np.rint(255 * db / _DB_MIN).astype(int)
     rows, cols = db.shape
-    pw, ph = _W - _ML - _MR, _H - _MT - _MB
-    cw, ch = pw / cols, ph / rows
-    parts = _svg_header(title)
+    cw, ch = _PW / cols, _PH / rows
     # one template per row of cells; "{y}" is swapped for each row's y
     template = "\n".join(
         f'<rect x="{_ML + j * cw:.2f}" y="{{y}}" width="{cw + 0.05:.2f}" '
         f'height="{ch + 0.05:.2f}" fill="rgb(%d,%d,%d)"/>'
         for j in range(cols)
     )
-    for i, row in enumerate(np.repeat(levels, 3, axis=1).tolist()):
-        parts.append(template.replace("{y}", f"{_MT + i * ch:.2f}") % tuple(row))
-    parts.append(
-        f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
-    )
-    parts.append(
-        f'<text x="{_ML + pw / 2:.1f}" y="{_H - 12}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">Doppler shift (rad/pulse)</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{_MT + ph / 2:.1f}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {_MT + ph / 2:.1f})">lag</text>'
-    )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    body = [
+        template.replace("{y}", f"{_MT + i * ch:.2f}") % tuple(row)
+        for i, row in enumerate(np.repeat(levels, 3, axis=1).tolist())
+    ]
+    return _svg(title, [*body, _BORDER], "Doppler shift (rad/pulse)", "lag")

@@ -47,8 +47,10 @@ sum over c. Only the factorization accepts a step. The primal iterate
 X = Z^{-1}/t, from the same inverses, is positive definite by
 construction, and any dual-feasible y certifies the upper bound
 sum(y) >= optimum, so the reported duality gap is certified rather than
-heuristic. Problems are normalized by the Frobenius norm of A_tilde
-internally, making the solve exactly scale equivariant.
+heuristic. S is X rescaled to unit diagonal, unconditionally: Z^{-1} of a
+Cholesky-accepted Z has a positive diagonal. Problems are normalized by
+the Frobenius norm of A_tilde internally, making the solve exactly scale
+equivariant.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class SolverFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class SdpResiduals:
-    diag_deviation: float
     duality_gap: float
 
 
@@ -225,9 +226,9 @@ def solve_partition_sdp(
         Budget of Newton steps. On exhaustion the best iterate is returned
         with ``converged`` False.
 
-    The returned matrix has exactly unit diagonal (rescaled at the end) and
-    is positive definite up to roundoff. Deterministic: identical inputs
-    produce identical outputs.
+    The returned matrix has exactly unit diagonal (always rescaled at the
+    end) and is positive definite up to roundoff. Deterministic: identical
+    inputs produce identical outputs.
 
     Each Newton step costs one ceil(M/2) solve (M for a form that is not
     reversal-symmetric) and one Cholesky factor per block of
@@ -251,7 +252,7 @@ def solve_partition_sdp(
 
     if norm == 0.0:
         s = np.eye(M)
-        res = SdpResiduals(diag_deviation=0.0, duality_gap=0.0)
+        res = SdpResiduals(duality_gap=0.0)
         return SdpSolution(s, 0.0, 0.0, res, iterations=0, converged=True)
 
     # normalized problem: exact scale equivariance of the whole solve
@@ -337,22 +338,18 @@ def solve_partition_sdp(
     # preserves positive definiteness, and a reversal-symmetric one acts on
     # each block by its leading corner
     d = _diagonal(X) / c
-    rescaled = bool(np.min(d) > 0)
-    if rescaled:
-        dm = 1.0 / np.sqrt(d)
-        X = [x * np.outer(dm[: len(x)], dm[: len(x)]) for x in X]
-        pobj = sum(float(np.vdot(b, x)) for b, x in zip(blocks, X))
+    dm = 1.0 / np.sqrt(d)
+    X = [x * np.outer(dm[: len(x)], dm[: len(x)]) for x in X]
+    pobj = sum(float(np.vdot(b, x)) for b, x in zip(blocks, X))
     dobj += shift
     gap = dobj - pobj
 
     S = _join(X, M)
-    if rescaled:
-        np.fill_diagonal(S, 1.0)
+    np.fill_diagonal(S, 1.0)
     objective = pobj * norm
     dual_bound = dobj * norm
-    diag_dev = float(np.max(np.abs(np.diag(S) - 1.0)))
     converged = (not exhausted) and gap <= tol * max(scale, abs(pobj))
-    res = SdpResiduals(diag_deviation=diag_dev, duality_gap=gap * norm)
+    res = SdpResiduals(duality_gap=gap * norm)
     return SdpSolution(
         s_matrix=S,
         objective=objective,

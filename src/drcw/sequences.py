@@ -74,13 +74,14 @@ class GolayPair:
 
     x1: np.ndarray
     x2: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return len(self.x1)
 
     def __post_init__(self):
         object.__setattr__(self, "x1", _as_pm1(self.x1, "x1"))
         object.__setattr__(self, "x2", _as_pm1(self.x2, "x2"))
-        if len(self.x1) != self.n or len(self.x2) != self.n:
-            raise ValueError("sequence lengths must equal n")
         report = verify_complementary(self.x1, self.x2)
         if not report.ok:
             raise ValueError(
@@ -105,7 +106,7 @@ def generate_golay_pair(n: int) -> GolayPair:
     b = np.array([1], dtype=np.int64)
     while len(a) < n:
         a, b = np.concatenate([a, b]), np.concatenate([a, -b])
-    return GolayPair(x1=a, x2=b, n=n)
+    return GolayPair(x1=a, x2=b)
 
 
 def ptm_order(m: int) -> np.ndarray:

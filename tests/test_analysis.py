@@ -239,6 +239,12 @@ class TestRsba:
         with pytest.raises(ValueError, match="outside the grid"):
             rsba(np.zeros(64), grid, center=7.0)
 
+    @pytest.mark.parametrize("size", [64, 65])
+    def test_run_reaching_both_grid_ends(self, size):
+        grid = DopplerGrid(size)
+        iv = rsba(np.full(grid.size, -80.0), grid)
+        assert (iv.lo, iv.hi) == (grid.points[0], grid.points[-1])
+
 
 class TestDopplerMetrics:
     def test_dmbr_identical_profiles(self):
@@ -262,6 +268,31 @@ class TestDopplerMetrics:
         g = np.ones(4)
         with pytest.raises(ValueError, match="not resolvable"):
             dmbr(g, g, grid)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_dmbr_unresolvable_on_one_side_only(self, side):
+        # the other side crosses -3 dB between the centre and its neighbour
+        grid = DopplerGrid(17)
+        ref = np.exp(-np.abs(grid.points))
+        g = ref.copy()
+        outer = slice(0, grid.zero_index) if side == "left" else slice(grid.zero_index + 1, None)
+        g[outer] = 1.0
+        with pytest.raises(ValueError, match="not resolvable"):
+            dmbr(g, ref, grid)
+        # the same profile falling below the level at the edge sample resolves
+        g[0 if side == "left" else -1] = 0.5
+        assert math.isfinite(dmbr(g, ref, grid))
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_pdsl_monotone_on_one_side_reports_the_other(self, side):
+        # falling all the way to the left edge, with a sidelobe of 0.3 right
+        # of the first minimum; the monotone side's samples stay near the
+        # peak, so reading it as a sidelobe region would report about 0.9
+        g = np.array([0.9 + 0.01 * i for i in range(8)]
+                     + [1.0, 0.5, 0.1, 0.3, 0.2, 0.15, 0.1, 0.05, 0.01])
+        if side == "right":
+            g = g[::-1]
+        assert pdsl(g, DopplerGrid(17)) == pytest.approx(20 * math.log10(0.3), abs=1e-12)
 
     def test_pdsl_uniform_matches_dirichlet_sidelobe(self):
         grid = DopplerGrid(8192)

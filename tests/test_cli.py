@@ -102,6 +102,13 @@ class TestDesignCommand:
         assert "--trace" in capsys.readouterr().err
         assert not trace.exists()
 
+    @pytest.mark.parametrize("method", ["bd", "ptm", "uniform"])
+    def test_baseline_rejects_one_pulse(self, method, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert run_cli("design", method, "--m", "1", "--grid", "256", "-o", str(out)) == 2
+        assert "pulse count must be >= 2, got 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nm_is_the_only_spelling(self, capsys):
         assert run_cli("design", "nm_drcw", "--m", "10") == 2
         assert "invalid choice: 'nm_drcw'" in capsys.readouterr().err
@@ -327,24 +334,41 @@ class TestVerifyCommand:
         )
         return out
 
-    def test_truncated_rsba_list_fails_reanalysis(self, two_zone, capsys):
+    # a metrics list whose length does not follow the document's null spec or
+    # grid is a malformed field, for verify and analyze alike
+    def test_truncated_rsba_list_fails_reanalysis(self, two_zone, tmp_path, capsys):
         doc = json.loads(two_zone.read_text())
         assert len(doc["metrics"]["rsba"]) == 2
         doc["metrics"]["rsba"] = doc["metrics"]["rsba"][:1]
         two_zone.write_text(json.dumps(doc))
-        assert run_cli("verify", str(two_zone)) == 1
-        assert "FAIL: re-analysis reproduces embedded metrics" in capsys.readouterr().out
+        assert run_cli("verify", str(two_zone)) == 2
+        assert run_cli("analyze", str(two_zone), "--out-dir", str(tmp_path / "a")) == 2
+        assert capsys.readouterr().err.count("field 'metrics.rsba' must be a list of 2") == 2
 
     @pytest.mark.parametrize("cut", [1, -1])
-    def test_wrong_length_prsl_curve_fails_reanalysis(self, two_zone, cut, capsys):
+    def test_wrong_length_prsl_curve_fails_reanalysis(self, two_zone, tmp_path, cut, capsys):
         doc = json.loads(two_zone.read_text())
         curve = doc["metrics"]["prsl_curve"]
         doc["metrics"]["prsl_curve"] = curve[:-1] if cut > 0 else curve + [curve[-1]]
         two_zone.write_text(json.dumps(doc))
+        assert run_cli("verify", str(two_zone)) == 2
+        assert run_cli("analyze", str(two_zone), "--out-dir", str(tmp_path / "a")) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"field 'metrics.prsl_curve' must be a list of {len(curve)}") == 2
+
+    def test_metrics_that_cannot_be_recomputed_fail_verification(self, two_zone, capsys):
+        # all-zero weights have no -3 dB mainlobe edge to find
+        doc = json.loads(two_zone.read_text())
+        doc["w"] = [0.0] * len(doc["w"])
+        two_zone.write_text(json.dumps(doc))
         assert run_cli("verify", str(two_zone)) == 1
-        out = capsys.readouterr().out
-        assert "FAIL: re-analysis reproduces embedded metrics" in out
-        assert f"{len(curve) - cut} PRSL points, expected 2 and {len(curve)}" in out
+        captured = capsys.readouterr()
+        assert "FAIL: energy" in captured.out
+        assert (
+            "FAIL: re-analysis reproduces embedded metrics "
+            "(mainlobe edge not resolvable on this grid)" in captured.out
+        )
+        assert captured.err == ""
 
     def test_never_builds_the_caf(self, two_zone, monkeypatch, capsys):
         # verify re-analyses through compute_metrics, so this covers both
@@ -414,9 +438,9 @@ class TestMalformedDocument:
     # that type is wrong for the field; a bool stands in for the int where
     # an int is a valid number
     WRONG_TYPES = [
-        ("m", [20.0, "20", [20], None]),
+        ("m", [20.0, "20", [20], None, 1]),
         ("n", [16.0, "16", [16], None]),
-        ("grid", [256.0, "256", [256], None]),
+        ("grid", [256.0, "256", [256], None, 1]),
         ("null_spec.k0", [-1, 4.0, "4", [4], None]),
         ("null_spec.nulls", [5, "x", [5], [["x", 1]], [[2.5, 1.0]], None]),
         ("s", [5, "x", ["x"], None]),

@@ -10,7 +10,7 @@ from drcw import cli
 from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
-    _H, _MB, _ML, _MR, _MT, _W, _svg_header, build_document, caf_csv, curve_csv,
+    _H, _MB, _ML, _MR, _MT, _W, build_document, caf_csv, curve_csv,
     document_to_design, dumps_document, save_document, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
@@ -41,6 +41,17 @@ def curve_csv_reference(grid, values, column):
     return f"theta_rad,{column}\n" + "".join(f"{t:.12g},{v:.12g}\n" for t, v in rows)
 
 
+def svg_header_reference(title):
+    """The opening tag, white background and title of every plot."""
+    return [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W // 2}" y="24" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="16">{title}</text>',
+    ]
+
+
 def svg_line_plot_reference(xs, ys, title, xlabel, ylabel, y_floor=None):
     """The line plot with its pixel coordinates computed and formatted point
     by point."""
@@ -60,7 +71,7 @@ def svg_line_plot_reference(xs, ys, title, xlabel, ylabel, y_floor=None):
     def py(y):
         return _MT + (y1 - y) / (y1 - y0) * ph
 
-    parts = _svg_header(title)
+    parts = svg_header_reference(title)
     parts.append(
         f'<rect x="{_ML}" y="{_MT}" width="{pw}" height="{ph}" fill="none" stroke="black"/>'
     )
@@ -101,7 +112,7 @@ def svg_heatmap_reference(caf, title, db_min=-100.0, max_cols=200):
     rows, cols = db.shape
     pw, ph = _W - _ML - _MR, _H - _MT - _MB
     cw, ch = pw / cols, ph / rows
-    parts = _svg_header(title)
+    parts = svg_header_reference(title)
     for i in range(rows):
         for j, level in enumerate(levels[i]):
             parts.append(
