@@ -193,28 +193,20 @@ def cmd_analyze(args) -> int:
     g_db = magnitude_db(g)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "prsl.csv").write_text(doc_io.curve_csv(grid, curve, "prsl_db"), encoding="utf-8")
-    (out / "doppler.csv").write_text(doc_io.curve_csv(grid, g_db, "g_db"), encoding="utf-8")
-    with open(out / "caf.csv", "w", encoding="utf-8") as fh:
+
+    def save(name, text):
+        (out / name).write_text(text, encoding="utf-8")
+
+    save("prsl.csv", doc_io.curve_csv(grid, curve, "prsl_db"))
+    save("doppler.csv", doc_io.curve_csv(grid, g_db, "g_db"))
+    with open(out / "caf.csv", "wb") as fh:
         doc_io.caf_csv(caf, fh)
     written = ["prsl.csv", "doppler.csv", "caf.csv"]
     if args.svg:
-        (out / "prsl.svg").write_text(
-            doc_io.svg_line_plot(
-                grid.points, curve, "Peak range sidelobe level", "Doppler shift (rad/pulse)",
-                "PRSL (dB)",
-            ),
-            encoding="utf-8",
-        )
-        (out / "doppler.svg").write_text(
-            doc_io.svg_line_plot(
-                grid.points, g_db, "Doppler profile", "Doppler shift (rad/pulse)", "|G| (dB)"
-            ),
-            encoding="utf-8",
-        )
-        (out / "caf.svg").write_text(
-            doc_io.svg_heatmap(caf, "Composite ambiguity (dB)"), encoding="utf-8"
-        )
+        plot, x = doc_io.svg_line_plot, "Doppler shift (rad/pulse)"
+        save("prsl.svg", plot(grid.points, curve, "Peak range sidelobe level", x, "PRSL (dB)"))
+        save("doppler.svg", plot(grid.points, g_db, "Doppler profile", x, "|G| (dB)"))
+        save("caf.svg", doc_io.svg_heatmap(caf, "Composite ambiguity (dB)"))
         written += ["prsl.svg", "doppler.svg", "caf.svg"]
     print(f"wrote {', '.join(written)} to {out}")
     return 0

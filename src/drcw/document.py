@@ -7,11 +7,11 @@ metrics. Serialization is deterministic (sorted keys, repr floats) so
 identical runs produce byte-identical files.
 
 CSV exports use a header row, UTF-8, '.' decimal separator, and 12
-significant digits. Each export is formatted from one %-template, and a
-grid's theta column is formatted once for all of them. ``caf_csv`` and
-``svg_heatmap`` evaluate the CAF from its rank-2 factors one distinct row
-at a time and never build the dense lag x Doppler array; ``caf_csv``
-writes to an open text stream lag by lag, so its memory follows the
+significant digits, from %-templates whose theta column is formatted once
+per grid. ``caf_csv`` and ``svg_heatmap`` evaluate the CAF from its rank-2
+factors one distinct row at a time, never the dense lag x Doppler array,
+and format each sign class (the rows equal up to sign) once. ``caf_csv``
+writes to an open binary stream lag by lag, so its memory follows the
 distinct CAF rows rather than the size of the file. SVG rendering is
 presentation sugar derived from the same numbers; nothing reads it back.
 """
@@ -145,6 +145,11 @@ def _list_of(ok):
     return lambda value: type(value) is list and all(ok(v) for v in value)
 
 
+def _numbers(ok=lambda values: True):
+    # the entry types in one C-level pass, then ``ok`` on the whole list
+    return lambda value: type(value) is list and set(map(type, value)) <= {int, float} and ok(value)
+
+
 def _sized(ok, size: int):
     return lambda value: ok(value) and len(value) == size
 
@@ -189,8 +194,9 @@ def document_to_design(doc) -> DesignResult:
     seed = _field(doc, "seed", "an integer or null", _is_optional(_is_int))
     positive = _is_optional(lambda v: _is_int(v) and v >= 1)
     trials = _field(doc, "trials", "an integer >= 1 or null", positive)
-    s = _field(doc, "s", "a list of +1/-1", _list_of(lambda v: _is_number(v) and abs(v) == 1))
-    w = _field(doc, "w", "a list of numbers >= 0", _list_of(lambda v: _is_number(v) and v >= 0))
+    s = _field(doc, "s", "a list of +1/-1", _numbers(lambda v: set(map(abs, v)) <= {1}))
+    # 0.0 <= v fails for NaN, as v >= 0 does
+    w = _field(doc, "w", "a list of numbers >= 0", _numbers(lambda v: all(map(0.0.__le__, v))))
     if len(s) != m or len(w) != m:
         raise ValueError(f"design document fields 's' and 'w' must each have m = {m} entries")
     optional = "a number or null"
@@ -203,7 +209,7 @@ def document_to_design(doc) -> DesignResult:
     for key in ("dmbr", "pdsl", "nag"):
         _field(metrics, f"metrics.{key}", "a number", _is_number)
     per_point = f"a list of {grid} numbers, one per grid point"
-    _field(metrics, "metrics.prsl_curve", per_point, _sized(_list_of(_is_number), grid))
+    _field(metrics, "metrics.prsl_curve", per_point, _sized(_numbers(), grid))
     return DesignResult(
         y=np.array(s, dtype=float) * np.array(w, dtype=float),
         method=method,
@@ -220,59 +226,81 @@ def document_to_design(doc) -> DesignResult:
 # ---------------------------------------------------------------------------
 # CSV exports
 
+# lines per %-pass and prefixing in caf.csv: whole-row passes fragment the heap on big grids
+_BLOCK = 4096
+_SIGNS = np.array([b"", b"-"], dtype=object)
+
 
 @functools.lru_cache(maxsize=1)
-def _theta_text(grid: DopplerGrid) -> tuple[str, ...]:
-    """The theta column of every CSV export of ``grid``, formatted once for
-    all of them."""
-    return tuple(f"{t:.12g}" for t in grid.points.tolist())
+def _theta_text(grid: DopplerGrid) -> tuple[tuple[str, ...], str]:
+    """``grid``'s theta column in every CSV export, and ``curve_csv``'s template."""
+    theta = tuple(f"{t:.12g}" for t in grid.points.tolist())
+    return theta, "".join(f"{t},%.12g\n" for t in theta)
 
 
-def _distinct_rows(caf: CafGrid, make):
-    """(lag, make(row)) for each lag in order, with ``make`` called once per
-    distinct CAF row: rows whose coefficient bytes are equal are bitwise
-    equal, so their results are shared."""
-    made = {}
-    for i, lag in enumerate(caf.lags.tolist()):
-        key = caf.coefficients[i].tobytes()
-        if key not in made:
-            made[key] = make(caf.row(i))
-        yield lag, made[key]
+def _sign_classes(caf: CafGrid, unsigned, make, fill=lambda text, row: text):
+    """(lag, text) for each lag in order. A lag's sign class is its
+    coefficient row, negated if its first nonzero entry is negative, + 0.0;
+    as negation is exact, a class's CAF rows are equal up to sign. ``make``
+    formats a class's sign-free ``unsigned(row)`` once, ``fill`` adds each
+    distinct row's signs, and a row whose numbers differ bitwise gets its own."""
+    c = caf.coefficients
+    lead = np.where(c[:, 0] != 0, c[:, 0], c[:, 1])
+    classes = [k.tobytes() for k in np.where(lead[:, None] < 0, -c, c) + 0.0]
+    rows, filled = [k.tobytes() for k in c], {}
+    for lag, cls, key in zip(caf.lags.tolist(), classes, rows):
+        if key not in filled:
+            made = None
+            for member, i in {k: i for i, k in enumerate(rows) if classes[i] == cls}.items():
+                numbers = unsigned(row := caf.row(i))
+                made = made or (numbers, make(numbers))
+                same = np.array_equal(numbers.view(np.int64), made[0].view(np.int64))
+                filled[member] = fill(made[1] if same else make(numbers), row)
+        yield lag, filled[key]
 
 
 def curve_csv(grid: DopplerGrid, values, column: str) -> str:
     """Two-column export of a curve over the Doppler grid, e.g. ``column``
     "prsl_db" for the PRSL curve or "g_db" for the Doppler profile."""
-    template = "".join(f"{t},%.12g\n" for t in _theta_text(grid))
-    return f"theta_rad,{column}\n" + template % tuple(np.asarray(values, dtype=float).tolist())
+    values = tuple(np.asarray(values, dtype=float).tolist())
+    return f"theta_rad,{column}\n" + _theta_text(grid)[1] % values
 
 
 def caf_csv(caf: CafGrid, out) -> None:
-    """Write the long-form CAF export to the text stream ``out``: one row
-    per (lag, theta) with the complex value and its magnitude in dB
-    relative to the global peak.
+    """Write the long-form CAF export to the binary stream ``out``: one
+    ASCII line per (lag, theta) with the complex value and its magnitude in
+    dB relative to the global peak.
 
-    The file is written lag by lag from the CAF's rank-2 factors; the dense
-    lag x Doppler array is never built. Each distinct CAF row is evaluated
-    and formatted once, with its dB levels (a function of the row, as the
-    reference is fixed at the global peak), from one template whose theta
-    column is formatted once per grid. Its text is kept as one string
-    without the lag prefix, which is added as each lag is written. Rows
-    repeat because the pair is complementary: at k != 0 the row is
-    (R1-R2)[k]/2 * F, and the integer (R1-R2)[k]/2 takes few values (13
-    distinct rows of 127 at N=64). So memory follows the distinct rows, not
-    the size of the file.
+    It is written lag by lag from the CAF's rank-2 factors. At k != 0 the
+    row is (R1-R2)[k]/2 * F, and that integer takes few values: 13 distinct
+    rows in 8 sign classes of 127 at N=64. Each class's |re|, |im| and dB
+    are formatted once with open sign slots, each distinct row fills in its
+    signs, and each lag adds its prefix as it is written. So memory follows
+    the distinct rows, not the size of the file.
     """
-    template = "\n".join(f"{t},%.12g,%.12g,%.12g" for t in _theta_text(caf.doppler))
-    peak = caf.peak
+    theta = _theta_text(caf.doppler)[0]
+    blocks = range(0, len(theta), _BLOCK)
+    line, peak = "\n{},%%s%.12g,%%s%.12g,%.12g", caf.peak
+    templates = ["".join(map(line.format, theta[a:a + _BLOCK])).encode() for a in blocks]
 
-    def text(row):
-        cells = np.stack([row.real, row.imag, magnitude_db(row, ref=peak)], axis=1)
-        return template % tuple(cells.ravel().tolist())
+    # as floats, a complex row interleaves re and im, as a line does
+    def unsigned(row):
+        parts = np.abs(row.view(float)).reshape(-1, 2)
+        return np.column_stack([parts, magnitude_db(row, ref=peak)])
 
-    out.write("lag,theta_rad,re,im,mag_db\n")
-    for lag, body in _distinct_rows(caf, text):
-        out.write(f"{lag}," + body.replace("\n", f"\n{lag},") + "\n")
+    def make(cells):
+        return [t % tuple(cells[a:a + _BLOCK].ravel().tolist()) for a, t in zip(blocks, templates)]
+
+    def fill(texts, row):
+        parts = row.view(float)
+        signs = _SIGNS[(np.signbit(parts) & ~np.isnan(parts)).view(np.int8)]
+        return [t % tuple(signs[2 * a:2 * a + 2 * _BLOCK].tolist()) for a, t in zip(blocks, texts)]
+
+    out.write(b"lag,theta_rad,re,im,mag_db")
+    for lag, body in _sign_classes(caf, unsigned, make, fill):
+        prefix = b"\n%d," % lag
+        out.writelines(text.replace(b"\n", prefix) for text in body)
+    out.write(b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -347,27 +375,22 @@ def svg_heatmap(caf: CafGrid, title: str) -> str:
 
     Doppler columns are max-pooled down to at most ``_MAX_COLS`` cells so
     the file stays manageable; the pooling preserves sidelobe peaks. Each
-    distinct CAF row is evaluated and pooled once, so only the pooled
-    (2N-1) x ``_MAX_COLS`` magnitudes are held.
+    sign class's cells are pooled and formatted once, as the map depends
+    only on |row|, and each lag fills in only its y.
     """
-    n_cols = caf.doppler.size
-    stride = max(1, int(math.ceil(n_cols / _MAX_COLS)))
-    starts = np.arange(0, n_cols, stride)
-    pooled = _distinct_rows(caf, lambda row: np.maximum.reduceat(np.abs(row), starts))
-    mags = np.stack([row for _, row in pooled])
-    db = np.clip(magnitude_db(mags, ref=caf.peak), _DB_MIN, 0.0)
-    # np.rint rounds half to even, as round does
-    levels = np.rint(255 * db / _DB_MIN).astype(int)
-    rows, cols = db.shape
-    cw, ch = _PW / cols, _PH / rows
-    # one template per row of cells; "{y}" is swapped for each row's y
+    starts = np.arange(0, caf.doppler.size, math.ceil(caf.doppler.size / _MAX_COLS))
+    cw, ch, peak = _PW / starts.size, _PH / caf.lags.size, caf.peak
+    # one template per row of cells; "{y}" is swapped for each lag's y
     template = "\n".join(
         f'<rect x="{_ML + j * cw:.2f}" y="{{y}}" width="{cw + 0.05:.2f}" '
         f'height="{ch + 0.05:.2f}" fill="rgb(%d,%d,%d)"/>'
-        for j in range(cols)
+        for j in range(starts.size)
     )
-    body = [
-        template.replace("{y}", f"{_MT + i * ch:.2f}") % tuple(row)
-        for i, row in enumerate(np.repeat(levels, 3, axis=1).tolist())
-    ]
+
+    def levels(row):  # np.rint rounds half to even, as round does
+        db = magnitude_db(np.maximum.reduceat(np.abs(row), starts), ref=peak)
+        return np.rint(255 * np.clip(db, _DB_MIN, 0.0) / _DB_MIN).astype(int)
+
+    rows = _sign_classes(caf, levels, lambda v: template % tuple(np.repeat(v, 3).tolist()))
+    body = [text.replace("{y}", f"{_MT + i * ch:.2f}") for i, (_, text) in enumerate(rows)]
     return _svg(title, [*body, _BORDER], "Doppler shift (rad/pulse)", "lag")

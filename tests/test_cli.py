@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -476,11 +477,20 @@ class TestMalformedDocument:
         assert f"'{named}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
-    @pytest.mark.parametrize("field,value", [("s", 0.5), ("w", -0.1)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("s", 0.5), ("w", -0.1), ("s", True), ("w", True), ("w", math.nan),
+         ("metrics.prsl_curve", True), ("metrics.prsl_curve", "x")],
+    )
     def test_array_entry_out_of_range(self, document, tmp_path, capsys, command, field, value):
-        # a transmit order is +/-1 and weights are >= 0
+        # a transmit order is +/-1, weights are >= 0 (not NaN), and no entry
+        # of a number list is a bool
         doc = json.loads(json.dumps(document))
-        doc[field][0] = value
+        *parents, last = field.split(".")
+        record = doc
+        for key in parents:
+            record = record[key]
+        record[last][0] = value
         assert self.run_on(doc, command, tmp_path) == 2
         assert f"field '{field}'" in capsys.readouterr().err
 

@@ -2,15 +2,19 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drcw import cli
+from drcw import document
 from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
-    _H, _MB, _ML, _MR, _MT, _W, build_document, caf_csv, curve_csv,
+    _H, _MB, _ML, _MR, _MT, _W, _sign_classes, build_document, caf_csv, curve_csv,
     document_to_design, dumps_document, save_document, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
@@ -30,9 +34,9 @@ def caf_csv_reference(caf):
 
 
 def caf_csv_text(caf) -> str:
-    out = io.StringIO()
+    out = io.BytesIO()
     caf_csv(caf, out)
-    return out.getvalue()
+    return out.getvalue().decode("utf-8")
 
 
 def curve_csv_reference(grid, values, column):
@@ -209,9 +213,8 @@ class TestCsvFormat:
         assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     def test_caf_csv_rows_that_nearly_repeat(self):
-        # a row is reused only when its coefficient bytes repeat: a +0.0 and
-        # -0.0 pair, a negated pair (same magnitudes and dB) and coefficients
-        # one ulp apart each get rows of their own
+        # a +0.0 and -0.0 pair and a negated pair (same magnitudes and dB)
+        # share a class's text up to sign; coefficients one ulp apart do not
         grid = DopplerGrid(9)
         rng = np.random.default_rng(3)
         basis = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
@@ -256,6 +259,95 @@ class TestCsvFormat:
         assert len({row.tobytes() for row in caf.values}) < len(caf.lags)
         assert caf_csv_text(caf) == caf_csv_reference(caf)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_caf_csv_matches_the_cell_by_cell_reference(self, data):
+        # random coefficient tables built from negated pairs, signed zeros,
+        # all-zero rows and one-ulp neighbours, with magnitudes that cross
+        # %.12g's switches to exponent form at 1e-4 and 1e12, on even and odd
+        # grids, formatted in blocks that split the rows anywhere
+        magnitude = st.builds(
+            lambda m, negative: -m if negative else m,
+            st.floats(min_value=1e-9, max_value=1e9) | st.just(0.0), st.booleans(),
+        )
+        points = data.draw(st.integers(min_value=2, max_value=24), label="points")
+        n = data.draw(st.integers(min_value=1, max_value=5), label="n")
+        pool = data.draw(st.lists(st.tuples(magnitude, magnitude), min_size=1, max_size=3))
+        variants = {
+            "same": lambda a, b: (a, b),
+            "negated": lambda a, b: (-a, -b),
+            "zero": lambda a, b: (0.0, 0.0),
+            "negative zero": lambda a, b: (-0.0, -0.0),
+            "ulp": lambda a, b: (a, float(np.nextafter(b, np.inf))),
+            "f only": lambda a, b: (0.0, b),
+        }
+        rows = [
+            variants[data.draw(st.sampled_from(sorted(variants)))](*data.draw(st.sampled_from(pool)))
+            for _ in range(2 * n - 1)
+        ]
+        cells = data.draw(st.lists(magnitude, min_size=4 * points, max_size=4 * points))
+        basis = np.array(cells[0::2]) + 1j * np.array(cells[1::2])
+        caf = CafGrid(
+            lags=np.arange(-(n - 1), n), doppler=DopplerGrid(points),
+            coefficients=np.array(rows), basis=basis.reshape(2, points),
+        )
+        block = data.draw(st.sampled_from([1, 2, 5, 4096]), label="block")
+        with mock.patch.object(document, "_BLOCK", block):
+            assert caf_csv_text(caf) == caf_csv_reference(caf)
+        assert svg_heatmap(caf, "CAF") == svg_heatmap_reference(caf, "CAF")
+
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310, 9.9999999999995e11,
+         -9.9999999999995e11, math.inf, -math.inf, math.nan, -math.nan],
+    )
+    def test_sign_split(self, value):
+        # caf_csv prints a value as its sign, present when signbit is set and
+        # the value is not NaN, followed by its magnitude's text
+        sign = b"-" if np.signbit(value) and not math.isnan(value) else b""
+        assert b"%.12g" % value == sign + b"%.12g" % abs(value)
+        assert (b"%.12g" % value).decode() == f"{value:.12g}"
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_caf_csv_signs_of_extreme_values(self):
+        # subnormals, the values either side of 1e12 that %.12g prints as
+        # +-1e+12, and NaN, which an infinite basis entry turns into through
+        # inf * 0 in the complex product, in rows negated within their class
+        grid = DopplerGrid(8)
+        f = [5e-324, -2.5e-310 + 1e-5j, 9.9999999999995e11 - 9.9999999999995e11j,
+             -1e12 + 0.5j, 0.0, math.inf, -math.inf + 1j, complex(math.nan, -3.0)]
+        basis = np.array([np.ones(8), f])
+        coefficients = np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0], [0.0, -1.0], [-0.0, 1.0]])
+        caf = CafGrid(lags=np.arange(-2, 3), doppler=grid, coefficients=coefficients, basis=basis)
+        assert caf.peak == 1.0
+        db = [magnitude_db(caf.row(i), ref=caf.peak) for i in range(5)]
+        expected = ["lag,theta_rad,re,im,mag_db"] + [
+            f"{lag},{t:.12g},{v.real:.12g},{v.imag:.12g},{db[i][j]:.12g}"
+            for i, lag in enumerate(range(-2, 3))
+            for j, (t, v) in enumerate(zip(grid.points, caf.row(i).tolist()))
+        ]
+        text = caf_csv_text(caf)
+        assert text == "\n".join(expected) + "\n"
+        assert "-1,-0.785398163397,1e+12,-0.5," in text
+
+    def test_a_row_that_differs_from_its_class_is_made_on_its_own(self):
+        # signed numbers differ within a class, so every distinct row is
+        # made apart; with sign-free numbers, once per class
+        pair = generate_golay_pair(64)
+        caf = composite_ambiguity(design_bd(50), pair, DopplerGrid(64))
+        for unsigned, makes in ((lambda row: row.real.copy(), 13), (lambda row: np.abs(row), 8)):
+            made = []
+
+            def make(numbers):
+                made.append(numbers)
+                return numbers.tobytes()
+
+            texts = dict(_sign_classes(caf, unsigned, make))
+            assert len(made) == makes
+            for i, lag in enumerate(caf.lags.tolist()):
+                assert texts[lag] == unsigned(caf.row(i)).tobytes()
+
     def test_curve_csv_rows(self):
         for points in (17, 256):
             grid = DopplerGrid(points)
@@ -272,7 +364,7 @@ class TestCsvFormat:
         path = tmp_path / "caf.csv"
         tracemalloc.start()
         try:
-            with open(path, "w", encoding="utf-8") as fh:
+            with open(path, "wb") as fh:
                 caf_csv(caf, fh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
