@@ -109,9 +109,10 @@ class CafGrid:
 
     @property
     def values(self) -> np.ndarray:
-        """The dense (2N-1) x G array, built on each access; the exports
-        never read it."""
-        return _unsigned_zeros(self.coefficients @ self.basis)
+        """The dense (2N-1) x G array, built on each access by stacking
+        ``row``, so each cell has the bits the exports and ``peak`` use; the
+        exports never read it."""
+        return np.stack([self.row(i) for i in range(len(self.lags))])
 
     @property
     def peak(self) -> float:
@@ -121,9 +122,8 @@ class CafGrid:
 
 def _unsigned_zeros(values: np.ndarray) -> np.ndarray:
     """``values`` with each -0.0 made +0.0, in place. The sign a BLAS
-    product gives an exact zero follows its kernel's order of operations
-    (the dense product and one row differ on odd grids), so rows and the
-    dense array hold the same zeros only once the sign is fixed."""
+    product gives an exact zero follows its kernel's order of operations,
+    not the CAF, so the exports print every zero cell as 0."""
     values += 0.0
     return values
 

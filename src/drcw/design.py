@@ -201,8 +201,10 @@ def design_nm_drcw(
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
     p = constraint_basis(spec, m)
-    a_tilde = quadratic_form(p, window)
-    solution = solve_partition_sdp(a_tilde, max_iter=max_iter, collect_trace=collect_solver_trace)
+    # rounding scores from P, so nothing holds A_tilde past the solve
+    solution = solve_partition_sdp(
+        quadratic_form(p, window), max_iter=max_iter, collect_trace=collect_solver_trace
+    )
     if not solution.converged:
         raise SolverFailure(
             "relaxation did not converge: gap "

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)
+    # an int beyond the float range has no float to compute with
+    return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
 def _is_optional(ok):
@@ -146,8 +148,14 @@ def _list_of(ok):
 
 
 def _numbers(ok=lambda values: True):
-    # the entry types in one C-level pass, then ``ok`` on the whole list
-    return lambda value: type(value) is list and set(map(type, value)) <= {int, float} and ok(value)
+    # the entry types in one C-level pass, the range of each int if there is
+    # one, then ``ok`` on the whole list
+    def check(value) -> bool:
+        types = set(map(type, value)) if type(value) is list else {None}
+        in_range = int not in types or all(map(_is_number, value))
+        return types <= {int, float} and in_range and ok(value)
+
+    return check
 
 
 def _sized(ok, size: int):

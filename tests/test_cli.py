@@ -478,13 +478,33 @@ class TestMalformedDocument:
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     @pytest.mark.parametrize(
+        "field", ["objective", "sdp_bound", "metrics.dmbr", "metrics.rsba.0.lo", "null_spec.nulls"]
+    )
+    def test_number_too_large_for_a_float(self, document, tmp_path, capsys, command, field):
+        doc = json.loads(json.dumps(document))
+        *parents, last = [int(k) if k.isdigit() else k for k in field.split(".")]
+        record = doc
+        for key in parents:
+            record = record[key]
+        # a null's angle, or the number itself
+        record[last] = [[10**400, 1]] if field == "null_spec.nulls" else 10**400
+        if field == "null_spec.nulls":
+            doc["metrics"]["rsba"].append(doc["metrics"]["rsba"][0])
+        assert self.run_on(doc, command, tmp_path) == 2
+        named = "metrics.rsba" if field.startswith("metrics.rsba") else field
+        assert f"field '{named}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
         "field,value",
         [("s", 0.5), ("w", -0.1), ("s", True), ("w", True), ("w", math.nan),
-         ("metrics.prsl_curve", True), ("metrics.prsl_curve", "x")],
+         ("metrics.prsl_curve", True), ("metrics.prsl_curve", "x"),
+         pytest.param("w", 10**400, id="w-10**400"),
+         pytest.param("metrics.prsl_curve", -(10**400), id="metrics.prsl_curve--10**400")],
     )
     def test_array_entry_out_of_range(self, document, tmp_path, capsys, command, field, value):
-        # a transmit order is +/-1, weights are >= 0 (not NaN), and no entry
-        # of a number list is a bool
+        # a transmit order is +/-1, weights are >= 0 (not NaN), no entry of a
+        # number list is a bool, and none is an integer too large for a float
         doc = json.loads(json.dumps(document))
         *parents, last = field.split(".")
         record = doc

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drcw import cli
@@ -37,6 +37,46 @@ def caf_csv_text(caf) -> str:
     out = io.BytesIO()
     caf_csv(caf, out)
     return out.getvalue().decode("utf-8")
+
+
+def caf_table(rows, cells) -> CafGrid:
+    """A CafGrid with the given (2N-1) coefficient rows and 2 x G complex
+    basis, ``cells`` holding its real and imaginary parts interleaved."""
+    n = (len(rows) + 1) // 2
+    basis = np.array(cells[0::2]) + 1j * np.array(cells[1::2])
+    points = len(basis) // 2
+    return CafGrid(
+        lags=np.arange(-(n - 1), n), doppler=DopplerGrid(points),
+        coefficients=np.array(rows), basis=basis.reshape(2, points),
+    )
+
+
+@st.composite
+def caf_tables(draw) -> CafGrid:
+    """Random coefficient tables built from negated pairs, signed zeros,
+    all-zero rows and one-ulp neighbours, with magnitudes that cross
+    %.12g's switches to exponent form at 1e-4 and 1e12, on even and odd
+    grids."""
+    magnitude = st.builds(
+        lambda m, negative: -m if negative else m,
+        st.floats(min_value=1e-9, max_value=1e9) | st.just(0.0), st.booleans(),
+    )
+    points = draw(st.integers(min_value=2, max_value=24), label="points")
+    n = draw(st.integers(min_value=1, max_value=5), label="n")
+    pool = draw(st.lists(st.tuples(magnitude, magnitude), min_size=1, max_size=3))
+    variants = {
+        "same": lambda a, b: (a, b),
+        "negated": lambda a, b: (-a, -b),
+        "zero": lambda a, b: (0.0, 0.0),
+        "negative zero": lambda a, b: (-0.0, -0.0),
+        "ulp": lambda a, b: (a, float(np.nextafter(b, np.inf))),
+        "f only": lambda a, b: (0.0, b),
+    }
+    rows = [
+        variants[draw(st.sampled_from(sorted(variants)))](*draw(st.sampled_from(pool)))
+        for _ in range(2 * n - 1)
+    ]
+    return caf_table(rows, draw(st.lists(magnitude, min_size=4 * points, max_size=4 * points)))
 
 
 def curve_csv_reference(grid, values, column):
@@ -260,39 +300,20 @@ class TestCsvFormat:
         assert caf_csv_text(caf) == caf_csv_reference(caf)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data())
+    @given(caf=caf_tables(), block=st.sampled_from([1, 2, 5, 4096]))
+    # a table on which the dense product and the rows once differed by an
+    # ulp at the peak cell, so caf.csv printed 0 dB where the cell-by-cell
+    # reference printed -1.93e-15
+    @example(
+        caf=caf_table(
+            [(0.0, 242158512.93568188), (-473669370.0, -242158512.93568188),
+             (0.0, 242158512.93568188)],
+            [0.0, 0.0, 3.0, 1.0, 0.0, 0.0, 3.0, 0.0],
+        ),
+        block=1,
+    )
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_caf_csv_matches_the_cell_by_cell_reference(self, data):
-        # random coefficient tables built from negated pairs, signed zeros,
-        # all-zero rows and one-ulp neighbours, with magnitudes that cross
-        # %.12g's switches to exponent form at 1e-4 and 1e12, on even and odd
-        # grids, formatted in blocks that split the rows anywhere
-        magnitude = st.builds(
-            lambda m, negative: -m if negative else m,
-            st.floats(min_value=1e-9, max_value=1e9) | st.just(0.0), st.booleans(),
-        )
-        points = data.draw(st.integers(min_value=2, max_value=24), label="points")
-        n = data.draw(st.integers(min_value=1, max_value=5), label="n")
-        pool = data.draw(st.lists(st.tuples(magnitude, magnitude), min_size=1, max_size=3))
-        variants = {
-            "same": lambda a, b: (a, b),
-            "negated": lambda a, b: (-a, -b),
-            "zero": lambda a, b: (0.0, 0.0),
-            "negative zero": lambda a, b: (-0.0, -0.0),
-            "ulp": lambda a, b: (a, float(np.nextafter(b, np.inf))),
-            "f only": lambda a, b: (0.0, b),
-        }
-        rows = [
-            variants[data.draw(st.sampled_from(sorted(variants)))](*data.draw(st.sampled_from(pool)))
-            for _ in range(2 * n - 1)
-        ]
-        cells = data.draw(st.lists(magnitude, min_size=4 * points, max_size=4 * points))
-        basis = np.array(cells[0::2]) + 1j * np.array(cells[1::2])
-        caf = CafGrid(
-            lags=np.arange(-(n - 1), n), doppler=DopplerGrid(points),
-            coefficients=np.array(rows), basis=basis.reshape(2, points),
-        )
-        block = data.draw(st.sampled_from([1, 2, 5, 4096]), label="block")
+    def test_caf_csv_matches_the_cell_by_cell_reference(self, caf, block):
         with mock.patch.object(document, "_BLOCK", block):
             assert caf_csv_text(caf) == caf_csv_reference(caf)
         assert svg_heatmap(caf, "CAF") == svg_heatmap_reference(caf, "CAF")

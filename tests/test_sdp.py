@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +285,172 @@ class TestStepCertificates:
         # the initial factors plus one per accepted step, each time one per
         # reversal block
         assert calls == [(128, 128)] * (2 * (sol.iterations + 1))
+
+
+def hamming_form(m, spec):
+    return quadratic_form(constraint_basis(spec, m), window_template("hamming", m))
+
+
+def one_block_form():
+    """An M=256 form whose reversal asymmetry is far above the split
+    tolerance, so it is solved as one block."""
+    form = hamming_form(256, NullSpec(k0=8))
+    e = np.random.default_rng(5).standard_normal(form.shape)
+    return form + 1e-6 * np.linalg.norm(form) * (e + e.T)
+
+
+def assert_same_solution(a, b):
+    assert a.s_matrix.tobytes() == b.s_matrix.tobytes()
+    assert (a.objective, a.dual_bound, a.residuals) == (b.objective, b.dual_bound, b.residuals)
+    assert (a.iterations, a.converged, a.trace) == (b.iterations, b.converged, b.trace)
+
+
+class TestPairedBlocks:
+    """From _PAIRED_MIN rows per block, the helper thread factors and
+    inverts the A- block while the calling thread does A+."""
+
+    @staticmethod
+    def solve(monkeypatch, form, paired_min, **kwargs):
+        """The solve with the pairing threshold ``paired_min``, and the
+        (work, block shape) of each call made on another thread."""
+        on_helper = []
+
+        def spy(name):
+            work = getattr(sdp, name)
+
+            def call(*args):
+                if threading.current_thread() is not threading.main_thread():
+                    on_helper.append((name, args[0].shape))
+                return work(*args)
+
+            return call
+
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, "_PAIRED_MIN", paired_min)
+            for name in ("_block_factor", "_inverse_from_cholesky"):
+                mp.setattr(sdp, name, spy(name))
+            return solve_partition_sdp(form, **kwargs), on_helper
+
+    CASES = {
+        "m256": (lambda: hamming_form(256, NullSpec(k0=8)), {}),
+        "m256-trace": (lambda: hamming_form(256, NullSpec(k0=8)), {"collect_trace": True}),
+        "m257-odd": (lambda: hamming_form(257, NullSpec(k0=8)), {}),
+        "m51-odd-mixed": (lambda: hamming_form(51, NullSpec(k0=9, nulls=((0.3 * np.pi, 2),))), {}),
+        "one-block": (one_block_form, {"collect_trace": True}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_threaded_solve_is_bit_identical(self, monkeypatch, case):
+        make, kwargs = self.CASES[case]
+        form = make()
+        serial, serial_helper = self.solve(monkeypatch, form, sys.maxsize, **kwargs)
+        paired, paired_helper = self.solve(monkeypatch, form, 1, **kwargs)
+        assert_same_solution(paired, serial)
+        assert serial.converged
+        assert serial_helper == []
+        if case == "one-block":
+            assert paired_helper == []
+        else:
+            # the A- block's factor and inverse, for the start and each step
+            half = (form.shape[0] // 2,) * 2
+            assert set(paired_helper) == {("_block_factor", half), ("_inverse_from_cholesky", half)}
+            assert paired_helper.count(("_inverse_from_cholesky", half)) == serial.iterations + 1
+
+    @pytest.mark.parametrize("paired_min", [sys.maxsize, 1])
+    def test_a_trial_that_does_not_factor_costs_no_inverse(self, monkeypatch, paired_min):
+        # a D2 stall form (ROADMAP) whose step test meets Z(alpha) that
+        # pass both certificates and still do not factor
+        form = quadratic_form(
+            constraint_basis(NullSpec(k0=24), 128), window_template("rectangular", 128)
+        )
+        trials, inverted = [], []
+        inverses, inverse = sdp._inverses, sdp._inverse_from_cholesky
+
+        def counted_inverses(blocks, u):
+            out = inverses(blocks, u)
+            trials.append(out is not None)
+            return out
+
+        def counted_inverse(L, *out):
+            inverted.append(L.shape)
+            return inverse(L, *out)
+
+        monkeypatch.setattr(sdp, "_PAIRED_MIN", paired_min)
+        monkeypatch.setattr(sdp, "_inverses", counted_inverses)
+        monkeypatch.setattr(sdp, "_inverse_from_cholesky", counted_inverse)
+        solve_partition_sdp(form, max_iter=150)
+        assert trials.count(False) > 0
+        # two inverses for each trial whose blocks all factored, none else
+        assert len(inverted) == 2 * trials.count(True)
+
+    @pytest.mark.parametrize(
+        "m,spec,paired",
+        [
+            (50, NullSpec(k0=20), False),
+            (51, NullSpec(k0=9, nulls=((0.3 * np.pi, 2),)), False),
+            (255, NullSpec(k0=8), False),
+            (256, NullSpec(k0=8), True),
+        ],
+    )
+    def test_small_blocks_stay_on_the_calling_thread(self, monkeypatch, m, spec, paired):
+        # paper-size forms (M=50, blocks of 25) never reach the helper;
+        # M=255 has an A- block of 127 rows, one short of _PAIRED_MIN
+        _, on_helper = self.solve(monkeypatch, hamming_form(m, spec), sdp._PAIRED_MIN)
+        assert bool(on_helper) == paired
+
+    @pytest.mark.parametrize("name", ["_block_factor", "_inverse_from_cholesky"])
+    @pytest.mark.parametrize("failing_on_helper", [True, False])
+    def test_failing_call_raises_on_the_calling_thread(self, monkeypatch, name, failing_on_helper):
+        blocks, _ = sdp._blocks(hamming_form(256, NullSpec(k0=8)) / 256.0)
+        u = np.full(128, 10.0)  # far above the blocks' spectra
+        expected = [w.tobytes() for w in sdp._inverses(blocks, u)]
+        work = getattr(sdp, name)
+
+        def failing(*args):
+            on_helper = threading.current_thread() is not threading.main_thread()
+            if on_helper == failing_on_helper:
+                raise ZeroDivisionError(f"{name} on helper={on_helper}")
+            return work(*args)
+
+        # a helper of this test's own, so a broken one cannot stall the rest
+        monkeypatch.setattr(sdp, "_HELPER", sdp._Helper())
+        with monkeypatch.context() as mp:
+            mp.setattr(sdp, name, failing)
+            with pytest.raises(ZeroDivisionError, match=f"helper={failing_on_helper}"):
+                sdp._inverses(blocks, u)
+        # the helper finished its call, and serves the next one
+        assert not sdp._HELPER._turn.locked()
+        assert [w.tobytes() for w in sdp._inverses(blocks, u)] == expected
+
+    def test_concurrent_solves_share_the_helper(self):
+        # more calling threads than cores, switching often: every solve must
+        # get its own A- work back from the one helper thread
+        form = hamming_form(256, NullSpec(k0=8))
+        reference = solve_partition_sdp(form)
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(2):
+                    results.append(solve_partition_sdp(form))
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert len(results) == 6
+        for sol in results:
+            assert_same_solution(sol, reference)
 
 
 class TestErrorHandling:
