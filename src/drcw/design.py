@@ -12,6 +12,13 @@ where rounding extracts a sign vector from the relaxation by Gaussian
 hyperplane sampling and amplitude recovery projects the windowed sign
 vector onto the null-constrained subspace, the orthogonal complement of P.
 
+The rounding normals depend only on (seed, trials, M), so they are drawn
+on a thread of their own from the moment a design's inputs are validated:
+the draw overlaps the basis, the form and the relaxation, and then runs
+ahead of the rounding's products by at most 1 MiB of whole blocks. It is
+one default_rng(seed) stream drawn in order, so every result is
+bit-for-bit that of one serial draw.
+
 Baselines: alternating order with binomial weights (order M-1 null at zero
 Doppler), the Prouhet-Thue-Morse order with unit weights (order log2(M)
 null), and the unweighted alternating train.
@@ -20,6 +27,8 @@ null), and the unweighted alternating train.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +44,10 @@ RANK1_RATIO = 1e8
 # bytes, but of no fewer rows, so large M still gets efficient products
 _BLOCK_BYTES = 1 << 18
 _MIN_BLOCK_ROWS = 128
+# the draw thread holds at most this many bytes of blocks, and at least
+# one block: 4 blocks at M=50, 2 at M=512. A longer lead overlaps little
+# more of an M=50 design and costs peak memory
+_LOOKAHEAD_BYTES = 1 << 20
 
 
 class DesignFailure(RuntimeError):
@@ -44,6 +57,67 @@ class DesignFailure(RuntimeError):
 def _sign_pm1(x: np.ndarray) -> np.ndarray:
     """Sign with the convention sign(0) = +1, as +/-1 int64."""
     return np.where(np.asarray(x) >= 0, 1, -1).astype(np.int64)
+
+
+class _Draws:
+    """The rounding normals of (seed, trials, M), the rows of one
+    (trials, M) draw from default_rng(seed), drawn in blocks of ``rows``
+    rows on a thread of their own. The thread draws into at most
+    _LOOKAHEAD_BYTES of blocks (at least one) and waits for ``give_back``
+    to return one before it draws the next. ``close`` ends the thread, at
+    once or after the block it is drawing; use the object as a context
+    manager so that every exit path ends it."""
+
+    def __init__(self, seed: int, trials: int, m: int):
+        self.rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * m))
+        lead = max(1, _LOOKAHEAD_BYTES // (8 * self.rows * m))
+        self._free, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        # allocated here: blocks allocated on the draw thread, in its own
+        # malloc arena, raised the peak memory of M=512 designs further
+        for _ in range(min(lead, -(-trials // self.rows))):
+            self._free.put(np.empty((min(self.rows, trials), m)))
+        self._closed = False
+        self._thread = threading.Thread(
+            target=self._draw,
+            args=(np.random.default_rng(seed), trials),
+            name="drcw-draws",
+            daemon=True,
+        )
+        self._thread.start()
+
+    def _draw(self, rng, trials: int) -> None:
+        try:
+            for start in range(0, trials, self.rows):
+                block = self._free.get()
+                if self._closed:
+                    return
+                block = block[: trials - start]
+                rng.standard_normal(out=block)
+                self._drawn.put(block)
+        except BaseException as exc:  # take() raises it on the rounding thread
+            self._drawn.put(exc)
+
+    def take(self) -> np.ndarray:
+        """The next block of normals, in the order of the draw."""
+        block = self._drawn.get()
+        if isinstance(block, BaseException):
+            raise block
+        return block
+
+    def give_back(self, block: np.ndarray) -> None:
+        """Let the thread draw into a taken block again."""
+        self._free.put(block)
+
+    def close(self) -> None:
+        self._closed = True
+        self._free.put(None)  # wakes the thread if it waits for a block
+        self._thread.join()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
 
 @dataclass(frozen=True)
@@ -60,6 +134,7 @@ def round_solution(
     window: WindowTemplate,
     trials: int,
     seed: int,
+    draws: _Draws | None = None,
 ) -> RoundedSolution:
     """Extract a sign vector from the relaxation matrix S (M x M) for the
     objective s^T A_tilde s of the basis P (M x K) and window w.
@@ -73,7 +148,13 @@ def round_solution(
     candidates sign(V r), sign(0) = +1. The r come from one generator seeded
     by ``seed`` in consecutive blocks of 256 KB (at least 128 candidates),
     the same numbers as one (trials, M) draw; each block is signed and
-    scored by one (block x M)(M x K) product before the next is drawn.
+    scored by one (block x M)(M x K) product on this thread.
+
+    The blocks are drawn on a thread of their own, which starts before
+    ``eigh`` and stays ahead of the products by at most 1 MiB of whole
+    blocks. ``draws`` is that thread when the caller has already started
+    it for (seed, trials, M), as ``design_nm_drcw`` does; it is ended on
+    return either way.
 
     The pick is the first maximum of the computed score, lowest trial index
     first. s and -s, and for persymmetric forms the reversals Js and -Js,
@@ -84,38 +165,39 @@ def round_solution(
         raise ValueError(f"trials must be positive, got {trials}")
     S = np.asarray(s_matrix, dtype=float)
     M = S.shape[0]
-    w = window.values
-    b = w[:, None] * p
-    norm_w = float(w @ w)
-    lam, vecs = np.linalg.eigh(S)
-    lam = lam[::-1]
-    vecs = vecs[:, ::-1]
+    if draws is None:
+        draws = _Draws(seed, trials, M)
+    with draws:
+        w = window.values
+        b = w[:, None] * p
+        norm_w = float(w @ w)
+        lam, vecs = np.linalg.eigh(S)
+        lam = lam[::-1]
+        vecs = vecs[:, ::-1]
 
-    clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
-    tail = float(np.sum(lam[1:]))
-    if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
-        s = _sign_pm1(vecs[:, 0])
-        proj = b.T @ s
-        obj = norm_w - float(proj @ proj)
-        return RoundedSolution(s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped)
+        clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
+        tail = float(np.sum(lam[1:]))
+        if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
+            s = _sign_pm1(vecs[:, 0])
+            proj = b.T @ s
+            obj = norm_w - float(proj @ proj)
+            return RoundedSolution(s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped)
 
-    factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
-    rng = np.random.default_rng(seed)
-    rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * M))
-    draws = np.empty((min(rows, trials), M))
-    candidates = np.empty_like(draws)
-    best, best_score = None, -math.inf
-    for start in range(0, trials, rows):
-        r, c = draws[: trials - start], candidates[: trials - start]
-        rng.standard_normal(out=r)
-        np.matmul(r, factor_t, out=c)
-        c += 0.0  # -0.0 becomes +0.0, so copysign gives sign(0) = +1
-        np.copysign(1.0, c, out=c)
-        proj = c @ b
-        scores = norm_w - np.einsum("bk,bk->b", proj, proj)
-        i = int(np.argmax(scores))  # argmax takes the first maximum in the block
-        if scores[i] > best_score:  # strict, so an equal later block keeps the pick
-            best, best_score = c[i].astype(np.int64), float(scores[i])
+        factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
+        candidates = np.empty((min(draws.rows, trials), M))
+        best, best_score = None, -math.inf
+        for _ in range(0, trials, draws.rows):
+            r = draws.take()
+            c = candidates[: len(r)]
+            np.matmul(r, factor_t, out=c)
+            draws.give_back(r)
+            c += 0.0  # -0.0 becomes +0.0, so copysign gives sign(0) = +1
+            np.copysign(1.0, c, out=c)
+            proj = c @ b
+            scores = norm_w - np.einsum("bk,bk->b", proj, proj)
+            i = int(np.argmax(scores))  # argmax takes the first maximum in the block
+            if scores[i] > best_score:  # strict, so an equal later block keeps the pick
+                best, best_score = c[i].astype(np.int64), float(scores[i])
     return RoundedSolution(
         s=best,
         objective=best_score,
@@ -190,6 +272,9 @@ def design_nm_drcw(
 
     Chains constraint basis -> quadratic form -> SDP ->
     rounding -> amplitude recovery; y carries its own sign and magnitude.
+    The rounding normals are drawn on a second thread from here on, while
+    this thread builds and solves the relaxation (see ``round_solution``);
+    the thread has ended when this returns or raises.
     Raises SolverFailure when the relaxation does not converge and
     DesignFailure on degenerate amplitude recovery.
     """
@@ -200,17 +285,20 @@ def design_nm_drcw(
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 
-    p = constraint_basis(spec, m)
-    # rounding scores from P, so nothing holds A_tilde past the solve
-    solution = solve_partition_sdp(
-        quadratic_form(p, window), max_iter=max_iter, collect_trace=collect_solver_trace
-    )
-    if not solution.converged:
-        raise SolverFailure(
-            "relaxation did not converge: gap "
-            f"{solution.residuals.duality_gap:.3e} after {solution.iterations} iterations"
+    with _Draws(seed, trials, m) as draws:
+        p = constraint_basis(spec, m)
+        # rounding scores from P, so nothing holds A_tilde past the solve
+        solution = solve_partition_sdp(
+            quadratic_form(p, window), max_iter=max_iter, collect_trace=collect_solver_trace
         )
-    rounded = round_solution(solution.s_matrix, p, window, trials=trials, seed=seed)
+        if not solution.converged:
+            raise SolverFailure(
+                "relaxation did not converge: gap "
+                f"{solution.residuals.duality_gap:.3e} after {solution.iterations} iterations"
+            )
+        rounded = round_solution(
+            solution.s_matrix, p, window, trials=trials, seed=seed, draws=draws
+        )
     y = recover_amplitudes(rounded.s, p, window)
 
     warnings = []

@@ -198,6 +198,12 @@ def document_to_design(doc) -> DesignResult:
     ns = _field(doc, "null_spec", "an object", _is_object)
     k0 = _field(ns, "null_spec.k0", "an integer >= 0", lambda v: _is_int(v) and v >= 0)
     nulls = _field(ns, "null_spec.nulls", "[number, integer] pairs", _list_of(_is_null_pair))
+    spec = NullSpec(k0=k0, nulls=nulls)
+    if spec.total_order >= m:  # the rule of constraint_basis: K <= M-1
+        raise ValueError(
+            f"design document field 'null_spec' must ask for a null order "
+            f"K = k0 + 2 sum(k_i) <= m - 1 = {m - 1}"
+        )
     window = _field(doc, "window", "a window kind or null", _is_optional(WINDOW_KINDS.__contains__))
     seed = _field(doc, "seed", "an integer or null", _is_optional(_is_int))
     positive = _is_optional(lambda v: _is_int(v) and v >= 1)
@@ -221,7 +227,7 @@ def document_to_design(doc) -> DesignResult:
     return DesignResult(
         y=np.array(s, dtype=float) * np.array(w, dtype=float),
         method=method,
-        null_spec=NullSpec(k0=k0, nulls=nulls),
+        null_spec=spec,
         window_kind=window,
         seed=seed,
         trials=trials,

@@ -496,6 +496,30 @@ class TestMalformedDocument:
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     @pytest.mark.parametrize(
+        "k0,nulls",
+        [(20, []), (16, [[0.5, 2]]), (10**6, []), (10**400, [])],
+        ids=["k0=m", "K=m-by-a-null", "k0=10**6", "k0=10**400"],
+    )
+    def test_null_order_the_train_cannot_hold(self, document, tmp_path, capsys, command, k0, nulls):
+        # K = k0 + 2 sum(k_i) must stay <= m - 1 = 19, the rule of the
+        # design; a huge k0 is refused before any null residual is evaluated
+        doc = json.loads(json.dumps(document))
+        doc["null_spec"] = {"k0": k0, "nulls": nulls}
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert "field 'null_spec'" in capsys.readouterr().err
+
+    def test_null_order_m_minus_1_is_read(self, document, tmp_path, capsys):
+        doc = json.loads(json.dumps(document))
+        doc["null_spec"] = {"k0": 17, "nulls": [[0.5, 1]]}
+        doc["metrics"]["rsba"].append(doc["metrics"]["rsba"][0])
+        assert doc_io.document_to_design(doc).null_spec.total_order == doc["m"] - 1
+        assert self.run_on(doc, "analyze", tmp_path) == 0
+        # read and judged: this y does not carry the nulls the field asks for
+        assert self.run_on(doc, "verify", tmp_path) == 1
+        assert "FAIL: null orders" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
         "field,value",
         [("s", 0.5), ("w", -0.1), ("s", True), ("w", True), ("w", math.nan),
          ("metrics.prsl_curve", True), ("metrics.prsl_curve", "x"),

@@ -1,11 +1,20 @@
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drcw
+from drcw import design
 from drcw.design import (
     _BLOCK_BYTES,
+    _LOOKAHEAD_BYTES,
     _MIN_BLOCK_ROWS,
     DesignFailure,
     design_bd,
@@ -21,7 +30,7 @@ from drcw.nullspec import (
     max_null_violation,
     quadratic_form,
 )
-from drcw.sdp import solve_partition_sdp
+from drcw.sdp import SolverFailure, solve_partition_sdp
 from drcw.sequences import window_template
 from oracles import (
     brute_force_partition_max,
@@ -213,6 +222,269 @@ class TestRoundSolution:
 
         small, large = peak(5000), peak(100000)
         assert large <= 2 * small, (small, large)
+
+
+def random_relaxation(m, seed=0):
+    """A unit-diagonal S of rank M/2, far from the rank-1 shortcut."""
+    g = np.random.default_rng(seed).standard_normal((m, m // 2))
+    s_matrix = g @ g.T
+    return s_matrix / np.sqrt(np.outer(np.diag(s_matrix), np.diag(s_matrix)))
+
+
+def one_shot_round(s_matrix, p, window, trials, seed):
+    """(pick, score) of rounding on this thread alone: the blocks of
+    candidates that round_solution signs and scores, cut from one
+    (trials, M) draw, with the first maximum kept."""
+    m = len(s_matrix)
+    lam, vecs = np.linalg.eigh(s_matrix)
+    factor_t = (vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))).T
+    r = np.random.default_rng(seed).standard_normal((trials, m))
+    b = window.values[:, None] * p
+    norm_w = float(window.values @ window.values)
+    best, best_score = None, -math.inf
+    rows = block_rows(m)
+    for start in range(0, trials, rows):
+        cands = np.where(r[start : start + rows] @ factor_t >= 0, 1.0, -1.0)
+        proj = cands @ b
+        scores = norm_w - np.einsum("bk,bk->b", proj, proj)
+        i = int(np.argmax(scores))
+        if scores[i] > best_score:
+            best, best_score = cands[i], float(scores[i])
+    return best, best_score
+
+
+def draw_threads():
+    return [t for t in threading.enumerate() if t.name == "drcw-draws"]
+
+
+def lead_blocks(m):
+    """Blocks the draw thread may hold at M = m."""
+    return max(1, _LOOKAHEAD_BYTES // (8 * block_rows(m) * m))
+
+
+# the real one, for the tests that patch numpy's
+DEFAULT_RNG = np.random.default_rng
+
+
+class RecordedDraws:
+    """A generator that draws like default_rng(seed), records the thread of
+    each call and raises on its ``fail_at``-th call (never at 0)."""
+
+    def __init__(self, seed, fail_at, threads):
+        self.rng, self.fail_at, self.threads = DEFAULT_RNG(seed), fail_at, threads
+
+    def standard_normal(self, *args, **kwargs):
+        self.threads.append(threading.current_thread().name)
+        if len(self.threads) == self.fail_at:
+            raise ZeroDivisionError("draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+# the design every exit-path test repeats afterwards: 3000 trials at M=50
+# run past the draw thread's lead of 4 blocks and end in a partial block
+NEXT_DESIGN = (50, NullSpec(k0=20), "hamming", 3000, 5)
+
+
+def next_design():
+    m, spec, kind, trials, seed = NEXT_DESIGN
+    return design_nm_drcw(m, spec, window_template(kind, m), trials=trials, seed=seed)
+
+
+@pytest.fixture(scope="module")
+def fresh_process_design():
+    """NEXT_DESIGN's y and objective as bytes from a fresh interpreter."""
+    m, spec, kind, trials, seed = NEXT_DESIGN
+    script = (
+        "import numpy as np\n"
+        "from drcw import NullSpec, design_nm_drcw\n"
+        "from drcw.sequences import window_template\n"
+        f"r = design_nm_drcw({m}, NullSpec(k0={spec.k0}), window_template({kind!r}, {m}), "
+        f"trials={trials}, seed={seed})\n"
+        "print(r.y.tobytes().hex(), np.float64(r.rounded_objective).tobytes().hex())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(drcw.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout.split()
+
+
+def design_bytes(result):
+    return [result.y.tobytes().hex(), np.float64(result.rounded_objective).tobytes().hex()]
+
+
+class TestDrawThread:
+    """The rounding normals are drawn on a thread of their own, from the
+    design's validated inputs on, at most _LOOKAHEAD_BYTES of blocks ahead."""
+
+    @pytest.mark.parametrize("m", [50, 51, 256, 512])
+    @pytest.mark.parametrize("case", ["one", "rows-1", "rows", "rows+1", "past-the-lead"])
+    def test_pick_equals_the_one_shot_draw(self, m, case):
+        rows = block_rows(m)
+        trials = {
+            "one": 1,
+            "rows-1": rows - 1,
+            "rows": rows,
+            "rows+1": rows + 1,
+            "past-the-lead": (lead_blocks(m) + 1) * rows + rows // 3,
+        }[case]
+        p = constraint_basis(NullSpec(k0=8), m)
+        window = window_template("hamming", m)
+        s_matrix = random_relaxation(m)
+        for seed in (0, 1):
+            rounded = round_solution(s_matrix, p, window, trials=trials, seed=seed)
+            best, best_score = one_shot_round(s_matrix, p, window, trials, seed)
+            assert not rounded.used_rank1_shortcut
+            assert np.array_equal(rounded.s, best), seed
+            assert rounded.objective == best_score, seed
+        assert draw_threads() == []
+
+    @pytest.mark.parametrize("m", [50, 512])
+    def test_lead_is_capped_in_whole_blocks(self, m):
+        # 4 blocks at M=50 and 2 at M=512 (1 MiB), however many trials
+        assert lead_blocks(m) == {50: 4, 512: 2}[m]
+        with design._Draws(0, 100 * block_rows(m), m) as draws:
+            deadline = time.monotonic() + 30
+            while draws._drawn.qsize() < lead_blocks(m) and time.monotonic() < deadline:
+                time.sleep(0.001)
+            time.sleep(0.05)  # time enough for a block more, were one free
+            assert draws._drawn.qsize() == lead_blocks(m)
+            assert draws._free.empty()
+        assert draw_threads() == []
+
+    def test_design_equals_rounding_with_the_plain_seed(self):
+        m, spec, kind, trials, seed = NEXT_DESIGN
+        window = window_template(kind, m)
+        p = constraint_basis(spec, m)
+        solution = solve_partition_sdp(quadratic_form(p, window))
+        rounded = round_solution(solution.s_matrix, p, window, trials=trials, seed=seed)
+        result = next_design()
+        assert np.array_equal(result.y, recover_amplitudes(rounded.s, p, window))
+        assert result.rounded_objective == rounded.objective
+        assert result.sdp_bound == solution.dual_bound
+
+    def test_draws_start_before_the_basis_on_their_own_thread(self, monkeypatch):
+        threads, alive = [], []
+        basis = design.constraint_basis
+
+        def spy_basis(*args):
+            alive.append(len(draw_threads()))
+            return basis(*args)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: RecordedDraws(seed, 0, threads))
+        monkeypatch.setattr(design, "constraint_basis", spy_basis)
+        result = next_design()
+        monkeypatch.undo()
+        assert alive == [1]
+        assert set(threads) == {"drcw-draws"}
+        assert len(threads) == -(-NEXT_DESIGN[3] // block_rows(NEXT_DESIGN[0]))
+        assert design_bytes(result) == design_bytes(next_design())
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (10, NullSpec(k0=2), window_template("hamming", 10), 0),
+            (1, NullSpec(k0=0), window_template("rectangular", 1), 10),
+            (10, NullSpec(k0=2), window_template("hamming", 9), 10),
+        ],
+        ids=["trials=0", "m=1", "window-mismatch"],
+    )
+    def test_no_draw_before_validation(self, monkeypatch, args):
+        def never(*args):
+            raise AssertionError("a draw started before the inputs were validated")
+
+        monkeypatch.setattr(design, "_Draws", never)
+        with pytest.raises(ValueError):
+            design_nm_drcw(*args[:3], trials=args[3])
+
+    def stall(self):
+        # a D2 form (ROADMAP) with a budget far below what it needs
+        design_nm_drcw(96, NullSpec(k0=28), window_template("rectangular", 96), trials=200,
+                       max_iter=30)
+
+    def rank_one(self, monkeypatch):
+        # K = M-1 leaves an S of numerical rank one, shortcut at this ratio
+        shortcuts = []
+        rounding = design.round_solution
+
+        def spy(*args, **kwargs):
+            out = rounding(*args, **kwargs)
+            shortcuts.append(out.used_rank1_shortcut)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(design, "RANK1_RATIO", 1.0)
+            mp.setattr(design, "round_solution", spy)
+            design_nm_drcw(12, NullSpec(k0=11), window_template("rectangular", 12), trials=5000)
+        assert shortcuts == [True]
+
+    def raising(self, monkeypatch, name, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        with monkeypatch.context() as mp:
+            mp.setattr(design, name, fail)
+            next_design()
+
+    def draw_fails(self, monkeypatch, fail_at):
+        threads = []
+        with monkeypatch.context() as mp:
+            mp.setattr(np.random, "default_rng", lambda seed: RecordedDraws(seed, fail_at, threads))
+            next_design()
+
+    EXITS = {
+        "solver-failure": (SolverFailure, lambda self, mp: self.stall()),
+        "budget-value-error": (ValueError, lambda self, mp: design_nm_drcw(
+            10, NullSpec(k0=10), window_template("rectangular", 10))),
+        "keyboard-interrupt": (KeyboardInterrupt, lambda self, mp: self.raising(
+            mp, "solve_partition_sdp", KeyboardInterrupt())),
+        "design-failure": (DesignFailure, lambda self, mp: self.raising(
+            mp, "recover_amplitudes", DesignFailure("degenerate"))),
+        "draw-fails-first": (ZeroDivisionError, lambda self, mp: self.draw_fails(mp, 1)),
+        "draw-fails-past-the-lead": (ZeroDivisionError, lambda self, mp: self.draw_fails(mp, 5)),
+        "rank-one-shortcut": (None, lambda self, mp: self.rank_one(mp)),
+    }
+
+    @pytest.mark.parametrize("path", sorted(EXITS))
+    def test_every_exit_ends_the_draw(self, monkeypatch, fresh_process_design, path):
+        expected, run = self.EXITS[path]
+        if expected is None:
+            run(self, monkeypatch)
+        else:
+            with pytest.raises(expected):
+                run(self, monkeypatch)
+        assert draw_threads() == []
+        assert design_bytes(next_design()) == fresh_process_design
+        assert draw_threads() == []
+
+    def test_concurrent_designs(self):
+        # more calling threads than cores, switching often: each design has
+        # its own draw thread, and all share the solver's one helper
+        args = (256, NullSpec(k0=8), window_template("hamming", 256))
+        reference = design_bytes(design_nm_drcw(*args, trials=1000, seed=3))
+        results, errors = [], []
+
+        def caller():
+            try:
+                for _ in range(2):
+                    results.append(design_bytes(design_nm_drcw(*args, trials=1000, seed=3)))
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(3)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert errors == []
+        assert results == [reference] * 6
+        assert draw_threads() == []
 
 
 class TestRecoverAmplitudes:
@@ -416,8 +688,10 @@ class TestLargeNullOrders:
     )
     def test_recovered_amplitudes_are_divisible(self, m, spec):
         # sizes where the relaxation itself does not converge yet, so the
-        # basis and the recovery are checked on fixed random signs
+        # basis and the recovery are checked on fixed random signs. y is
+        # divisible by the annihilator iff its null moments vanish; those
+        # take under a second in mpmath here, the remainder of the division
+        # half a minute at M=512
         s = np.where(np.random.default_rng(11).standard_normal(m) >= 0, 1, -1)
         y = recover_amplitudes(s, constraint_basis(spec, m), window_template("hamming", m))
-        rem = division_remainder(y, spec.k0, spec.nulls)
-        assert float(np.max(np.abs(rem))) <= 1e-8 * m
+        assert float(null_moments(y, spec.k0, spec.nulls).max()) <= 1e-8 * m
