@@ -22,7 +22,7 @@ import numpy as np
 
 from . import document as doc_io
 from .analysis import DopplerGrid, composite_ambiguity, compute_metrics
-from .analysis import magnitude_db, prsl_curve
+from .analysis import magnitude_db, nag, prsl_curve
 from .design import (
     DesignFailure,
     DesignResult,
@@ -167,7 +167,7 @@ def cmd_design(args) -> int:
         text = "iteration,objective,certified_gap,diag_deviation\n" + "".join(
             f"{it},{obj:.12g},{gap:.12g},{dev:.12g}\n" for it, obj, gap, dev in rows
         )
-        Path(args.trace).write_text(text, encoding="utf-8")
+        doc_io.save_text(args.trace, text)
     metrics = compute_metrics(design, pair, grid)
     doc = doc_io.build_document(design, n=args.n, grid_points=args.grid, metrics=metrics)
     doc_io.save_document(doc, args.out)
@@ -185,6 +185,8 @@ def cmd_design(args) -> int:
 
 def cmd_analyze(args) -> int:
     design, doc = doc_io.load_document(args.document)
+    # all-zero weights, which verify fails, would export floor-level files
+    nag(design.weights)
     grid = DopplerGrid(doc["grid"] if args.grid is None else args.grid)
     pair = generate_golay_pair(doc["n"])
     caf = composite_ambiguity(design, pair, grid)
@@ -192,14 +194,17 @@ def cmd_analyze(args) -> int:
     curve = prsl_curve(design, pair, f)
     g_db = magnitude_db(g)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise doc_io.write_error(out, exc) from exc
 
     def save(name, text):
-        (out / name).write_text(text, encoding="utf-8")
+        doc_io.save_text(out / name, text)
 
     save("prsl.csv", doc_io.curve_csv(grid, curve, "prsl_db"))
     save("doppler.csv", doc_io.curve_csv(grid, g_db, "g_db"))
-    with open(out / "caf.csv", "wb") as fh:
+    with doc_io.open_output(out / "caf.csv") as fh:
         doc_io.caf_csv(caf, fh)
     written = ["prsl.csv", "doppler.csv", "caf.csv"]
     if args.svg:
@@ -280,7 +285,7 @@ def cmd_table(args) -> int:
     rows = _table_rows(args)
     text = _format_table(rows, args.format)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        doc_io.save_text(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)

@@ -14,13 +14,23 @@ and format each sign class (the rows equal up to sign) once. ``caf_csv``
 writes to an open binary stream lag by lag, so its memory follows the
 distinct CAF rows rather than the size of the file. SVG rendering is
 presentation sugar derived from the same numbers; nothing reads it back.
+
+Every file drcw writes goes through ``open_output``. It writes the path
+from its start without truncating it first, so a rewrite reuses the old
+file's blocks instead of freeing and allocating them again, and then cuts
+a regular file (never a device such as /dev/null) to the bytes written,
+however the writing ends. An ``OSError`` becomes a ``ValueError`` naming
+the path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -103,8 +113,38 @@ def dumps_document(doc: dict) -> str:
     return f'{head}\n  "metrics": {tail}\n'
 
 
+def write_error(path, exc: OSError) -> ValueError:
+    """The error an output path that cannot be written raises."""
+    return ValueError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """A binary stream that writes ``path`` from its start, created if
+    missing, and on exit, clean or not, a regular file cut to the bytes
+    written (see the module docstring)."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as out:
+            try:
+                yield out
+            finally:
+                try:
+                    out.flush()
+                finally:
+                    if stat.S_ISREG(os.fstat(fd).st_mode):
+                        os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    except OSError as exc:
+        raise write_error(path, exc) from exc
+
+
+def save_text(path, text: str) -> None:
+    with open_output(path) as out:
+        out.write(text.encode())
+
+
 def save_document(doc: dict, path) -> None:
-    Path(path).write_text(dumps_document(doc), encoding="utf-8")
+    save_text(path, dumps_document(doc))
 
 
 def load_document(path) -> tuple[DesignResult, dict]:
@@ -198,7 +238,10 @@ def document_to_design(doc) -> DesignResult:
     ns = _field(doc, "null_spec", "an object", _is_object)
     k0 = _field(ns, "null_spec.k0", "an integer >= 0", lambda v: _is_int(v) and v >= 0)
     nulls = _field(ns, "null_spec.nulls", "[number, integer] pairs", _list_of(_is_null_pair))
-    spec = NullSpec(k0=k0, nulls=nulls)
+    try:
+        spec = NullSpec(k0=k0, nulls=nulls)
+    except ValueError as exc:
+        raise ValueError(f"design document field 'null_spec.nulls' is invalid: {exc}") from None
     if spec.total_order >= m:  # the rule of constraint_basis: K <= M-1
         raise ValueError(
             f"design document field 'null_spec' must ask for a null order "

@@ -137,6 +137,25 @@ class TestDesignCommand:
         assert float(last[2]) >= 0.0
         assert float(last[3]) >= 0.0
 
+    def test_unwritable_output_exits_2_naming_the_path(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        assert run_cli("design", "uniform", "--m", "8", "--grid", "128", "-o", str(out)) == 2
+        assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+    def test_shorter_rewrite_equals_a_fresh_document(self, tmp_path):
+        long_doc, fresh = tmp_path / "d.json", tmp_path / "fresh.json"
+        run_cli("design", "bd", "--m", "128", "--n", "8", "--grid", "256", "-o", str(long_doc))
+        small = ("design", "nm", "--m", "16", "--n", "8", "--k0", "3", "--trials", "20",
+                 "--grid", "256")
+        assert run_cli(*small, "-o", str(fresh)) == 0
+        assert long_doc.stat().st_size > fresh.stat().st_size
+        assert run_cli(*small, "-o", str(long_doc)) == 0
+        assert long_doc.read_bytes() == fresh.read_bytes()
+
+    def test_device_output(self):
+        # /dev/null is not a regular file, so it is written but never cut
+        assert run_cli("design", "uniform", "--m", "8", "--grid", "128", "-o", os.devnull) == 0
+
     def test_solver_budget_exhaustion_exit_code(self, capsys):
         code = run_cli(
             "design", "nm", "--m", "16", "--n", "8", "--k0", "4",
@@ -218,6 +237,33 @@ class TestAnalyzeCommand:
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
 
+    def test_shorter_rewrite_equals_a_fresh_export(self, document, tmp_path):
+        outdir, fresh = tmp_path / "a", tmp_path / "fresh"
+        assert run_cli("analyze", str(document), "--out-dir", str(outdir), "--svg",
+                       "--grid", "8192") == 0
+        for out in (outdir, fresh):
+            assert run_cli("analyze", str(document), "--out-dir", str(out), "--svg",
+                           "--grid", "257") == 0
+        names = sorted(p.name for p in fresh.iterdir())
+        assert names == sorted(p.name for p in outdir.iterdir()) and len(names) == 6
+        for name in names:
+            assert (outdir / name).read_bytes() == (fresh / name).read_bytes(), name
+
+    def test_zero_weights_exit_2_before_any_file(self, document, tmp_path, capsys):
+        doc = json.loads(document.read_text())
+        doc["w"] = [0.0] * len(doc["w"])
+        document.write_text(json.dumps(doc))
+        outdir = tmp_path / "z"
+        assert run_cli("analyze", str(document), "--out-dir", str(outdir), "--svg") == 2
+        assert "weights must not be all zero" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    def test_out_dir_below_a_regular_file_exits_2(self, document, tmp_path, capsys):
+        below = tmp_path / "file" / "out"
+        below.parent.write_text("")
+        assert run_cli("analyze", str(document), "--out-dir", str(below)) == 2
+        assert f"cannot write {below}: Not a directory" in capsys.readouterr().err
+
     def test_zero_grid_is_usage_error(self, document, tmp_path, capsys):
         # --grid 0 is not "the document's grid"
         outdir = tmp_path / "z"
@@ -275,6 +321,17 @@ class TestTableCommand:
         assert f1.read_bytes() == f2.read_bytes()
         header = f1.read_text().splitlines()[0]
         assert header == "window,k0,rsba_halfwidth_over_pi,dmbr_percent,pdsl_db,nag_db"
+
+    def test_stdout_pipe_output(self):
+        # a pipe is not a regular file, so it is written but never cut
+        proc = subprocess.run(
+            [sys.executable, "-m", "drcw", "table", "--k0", "2", "--windows", "hamming",
+             "--m", "8", "--n", "8", "--trials", "10", "--grid", "64", "-o", "/dev/stdout"],
+            capture_output=True, text=True, env=TestSubprocessEntry.ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("| window | k0 |")
+        assert proc.stdout.endswith("wrote /dev/stdout\n")
 
     def test_empty_k0_is_usage_error(self, capsys):
         assert run_cli("table", "--k0", "", "--m", "10") == 2
@@ -507,6 +564,22 @@ class TestMalformedDocument:
         doc["null_spec"] = {"k0": k0, "nulls": nulls}
         assert self.run_on(doc, command, tmp_path) == 2
         assert "field 'null_spec'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "nulls,reason",
+        [([[5.0, 1]], "null angle must lie strictly inside (0, pi), got 5.0"),
+         ([[0.5, 0]], "null order must be a positive integer, got 0"),
+         ([[0.5, 1], [0.5, 1]], "null angles must be pairwise distinct")],
+        ids=["angle-5.0", "order-0", "repeated-angle"],
+    )
+    def test_null_the_spec_refuses(self, document, tmp_path, capsys, command, nulls, reason):
+        doc = json.loads(json.dumps(document))
+        doc["null_spec"]["nulls"] = nulls
+        doc["metrics"]["rsba"] += [doc["metrics"]["rsba"][0]] * len(nulls)
+        assert self.run_on(doc, command, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert "field 'null_spec.nulls'" in err and reason in err
 
     def test_null_order_m_minus_1_is_read(self, document, tmp_path, capsys):
         doc = json.loads(json.dumps(document))

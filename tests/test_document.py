@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -15,7 +16,7 @@ from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_met
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
     _H, _MB, _ML, _MR, _MT, _W, _sign_classes, build_document, caf_csv, curve_csv,
-    document_to_design, dumps_document, save_document, svg_heatmap, svg_line_plot,
+    document_to_design, dumps_document, open_output, save_document, svg_heatmap, svg_line_plot,
 )
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
@@ -385,7 +386,7 @@ class TestCsvFormat:
         path = tmp_path / "caf.csv"
         tracemalloc.start()
         try:
-            with open(path, "wb") as fh:
+            with open_output(path) as fh:
                 caf_csv(caf, fh)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -410,6 +411,25 @@ class TestCsvFormat:
         finally:
             tracemalloc.stop()
         assert peak < (2 * n - 1) * points * 16
+
+
+class TestOpenOutput:
+    @pytest.mark.parametrize("size", [3, 100_000], ids=["buffered", "past-the-buffer"])
+    def test_file_ends_where_an_exception_stopped_the_writing(self, tmp_path, size):
+        path = tmp_path / "out"
+        path.write_bytes(b"x" * 300_000)
+        with pytest.raises(RuntimeError, match="stop"):
+            with open_output(path) as out:
+                out.write(b"a" * size)
+                raise RuntimeError("stop")
+        assert path.read_bytes() == b"a" * size
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_names_the_path(self):
+        # /dev/full refuses every write with ENOSPC, and is not cut
+        with pytest.raises(ValueError, match="cannot write /dev/full: No space left"):
+            with open_output("/dev/full") as out:
+                out.write(b"abc")
 
 
 class TestSvgFormat:
