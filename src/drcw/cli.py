@@ -13,8 +13,10 @@ e.g. ``--null 0.8pi:4``.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -158,7 +160,18 @@ def _interval_str(iv) -> str:
     )
 
 
+def _refuse_missing_dirs(*paths) -> None:
+    """The writer's error for an output path whose directory does not
+    exist, raised before any work is spent on what it would hold."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir():
+            code = errno.ENOTDIR if parent.exists() else errno.ENOENT
+            raise doc_io.write_error(path, OSError(code, os.strerror(code)))
+
+
 def cmd_design(args) -> int:
+    _refuse_missing_dirs(args.out, args.trace)
     pair = generate_golay_pair(args.n)
     grid = DopplerGrid(args.grid)
     design = _design_from_args(args)
@@ -282,11 +295,13 @@ def _format_table(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_table(args) -> int:
+    _refuse_missing_dirs(args.out)
     rows = _table_rows(args)
     text = _format_table(rows, args.format)
     if args.out:
         doc_io.save_text(args.out, text)
-        print(f"wrote {args.out}")
+        # stderr, so that -o /dev/stdout gives the table alone
+        print(f"wrote {args.out}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return 0

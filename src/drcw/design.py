@@ -12,12 +12,13 @@ where rounding extracts a sign vector from the relaxation by Gaussian
 hyperplane sampling and amplitude recovery projects the windowed sign
 vector onto the null-constrained subspace, the orthogonal complement of P.
 
-The rounding normals depend only on (seed, trials, M), so they are drawn
-on a thread of their own from the moment a design's inputs are validated:
-the draw overlaps the basis, the form and the relaxation, and then runs
-ahead of the rounding's products by at most 1 MiB of whole blocks. It is
-one default_rng(seed) stream drawn in order, so every result is
-bit-for-bit that of one serial draw.
+The rounding normals depend only on (seed, trials, M), so from the moment
+a design's inputs are validated the one worker of the design's own
+executor (thread drcw-draws_0) draws them, one block per job, in order from
+one default_rng(seed) stream: the draw overlaps the basis, the form and the
+relaxation, runs ahead of the rounding's products by at most 1 MiB of
+whole blocks, and gives bit-for-bit the result of one serial draw. The
+executor, shared with no other design or solve, is shut down on every exit.
 
 Baselines: alternating order with binomial weights (order M-1 null at zero
 Doppler), the Prouhet-Thue-Morse order with unit weights (order log2(M)
@@ -27,8 +28,8 @@ null), and the unweighted alternating train.
 from __future__ import annotations
 
 import math
-import queue
-import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,7 @@ RANK1_RATIO = 1e8
 # bytes, but of no fewer rows, so large M still gets efficient products
 _BLOCK_BYTES = 1 << 18
 _MIN_BLOCK_ROWS = 128
-# the draw thread holds at most this many bytes of blocks, and at least
+# the draw holds at most this many bytes of blocks ahead, and at least
 # one block: 4 blocks at M=50, 2 at M=512. A longer lead overlaps little
 # more of an M=50 design and costs peak memory
 _LOOKAHEAD_BYTES = 1 << 20
@@ -62,62 +63,39 @@ def _sign_pm1(x: np.ndarray) -> np.ndarray:
 class _Draws:
     """The rounding normals of (seed, trials, M), the rows of one
     (trials, M) draw from default_rng(seed), drawn in blocks of ``rows``
-    rows on a thread of their own. The thread draws into at most
-    _LOOKAHEAD_BYTES of blocks (at least one) and waits for ``give_back``
-    to return one before it draws the next. ``close`` ends the thread, at
-    once or after the block it is drawing; use the object as a context
-    manager so that every exit path ends it."""
+    rows by the worker of a one-thread executor of their own. At most
+    _LOOKAHEAD_BYTES of blocks (at least one) are drawn or queued ahead of
+    ``take``; ``give_back`` queues the next block into a returned one. Use
+    the object as a context manager: its exit cancels the queued blocks and
+    waits for the one being drawn, on every exit path."""
 
     def __init__(self, seed: int, trials: int, m: int):
         self.rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * m))
         lead = max(1, _LOOKAHEAD_BYTES // (8 * self.rows * m))
-        self._free, self._drawn = queue.SimpleQueue(), queue.SimpleQueue()
+        self._rng = np.random.default_rng(seed)
+        self._sizes = (min(self.rows, trials - s) for s in range(0, trials, self.rows))
+        self._drawn = deque()
+        self._pool = ThreadPoolExecutor(1, thread_name_prefix="drcw-draws")
         # allocated here: blocks allocated on the draw thread, in its own
         # malloc arena, raised the peak memory of M=512 designs further
         for _ in range(min(lead, -(-trials // self.rows))):
-            self._free.put(np.empty((min(self.rows, trials), m)))
-        self._closed = False
-        self._thread = threading.Thread(
-            target=self._draw,
-            args=(np.random.default_rng(seed), trials),
-            name="drcw-draws",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def _draw(self, rng, trials: int) -> None:
-        try:
-            for start in range(0, trials, self.rows):
-                block = self._free.get()
-                if self._closed:
-                    return
-                block = block[: trials - start]
-                rng.standard_normal(out=block)
-                self._drawn.put(block)
-        except BaseException as exc:  # take() raises it on the rounding thread
-            self._drawn.put(exc)
+            self.give_back(np.empty((min(self.rows, trials), m)))
 
     def take(self) -> np.ndarray:
         """The next block of normals, in the order of the draw."""
-        block = self._drawn.get()
-        if isinstance(block, BaseException):
-            raise block
-        return block
+        return self._drawn.popleft().result()
 
     def give_back(self, block: np.ndarray) -> None:
-        """Let the thread draw into a taken block again."""
-        self._free.put(block)
-
-    def close(self) -> None:
-        self._closed = True
-        self._free.put(None)  # wakes the thread if it waits for a block
-        self._thread.join()
+        """Draw the next block, if any is left, into a taken block."""
+        size = next(self._sizes, 0)
+        if size:
+            self._drawn.append(self._pool.submit(self._rng.standard_normal, out=block[:size]))
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        self._pool.shutdown(cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -150,11 +128,11 @@ def round_solution(
     the same numbers as one (trials, M) draw; each block is signed and
     scored by one (block x M)(M x K) product on this thread.
 
-    The blocks are drawn on a thread of their own, which starts before
-    ``eigh`` and stays ahead of the products by at most 1 MiB of whole
-    blocks. ``draws`` is that thread when the caller has already started
-    it for (seed, trials, M), as ``design_nm_drcw`` does; it is ended on
-    return either way.
+    The blocks are drawn by the worker of a one-thread executor, which
+    starts before ``eigh`` and stays ahead of the products by at most 1 MiB
+    of whole blocks. ``draws`` holds that executor when the caller has
+    already started the draw for (seed, trials, M), as ``design_nm_drcw``
+    does; the executor is shut down on return or raise either way.
 
     The pick is the first maximum of the computed score, lowest trial index
     first. s and -s, and for persymmetric forms the reversals Js and -Js,
@@ -274,7 +252,7 @@ def design_nm_drcw(
     rounding -> amplitude recovery; y carries its own sign and magnitude.
     The rounding normals are drawn on a second thread from here on, while
     this thread builds and solves the relaxation (see ``round_solution``);
-    the thread has ended when this returns or raises.
+    that thread's executor is shut down when this returns or raises.
     Raises SolverFailure when the relaxation does not converge and
     DesignFailure on degenerate amplitude recovery.
     """

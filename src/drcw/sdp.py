@@ -38,10 +38,13 @@ step-length test (which halves the trial step alpha until every block of
 Z(alpha) factors) and by Z_b^{-1} = L^{-T} L^{-1}, which is formed from L
 with matrix products once every block has factored; plus one ceil(M/2)
 solve for the Newton direction. When both blocks have at least
-_PAIRED_MIN = 128 rows (M >= 256), a helper thread factors Z_-(alpha) while
-the calling thread factors Z_+(alpha), and then forms Z_-^{-1} while the
-calling thread forms Z_+^{-1}. Below that size the hand-over costs more
-than the overlap saves, and all the work stays on the calling thread. A
+_PAIRED_MIN = 128 rows (M >= 256), the one worker of the solve's own
+ThreadPoolExecutor (thread drcw-sdp_0) factors Z_-(alpha) while the calling
+thread factors Z_+(alpha), and then forms Z_-^{-1} while the calling thread
+forms Z_+^{-1}. Below that size the hand-over costs more than the overlap
+saves: all the work stays on the calling thread, and the executor, which
+starts its worker on its first job, starts none. No helper is shared
+between solves, and the executor is shut down on every exit of its solve. A
 block's work is the same operations in the same order on either thread,
 and the blocks share nothing they write, so the solve's results are
 bit-for-bit those of a one-thread solve.
@@ -63,7 +66,7 @@ equivariant.
 
 from __future__ import annotations
 
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,81 +220,25 @@ def _block_factor(b: np.ndarray, u: np.ndarray) -> np.ndarray | None:
         return None
 
 
-class _Helper:
-    """A daemon thread that makes one call at a time for the thread that
-    hands it over; callers on several threads take turns. It starts on
-    first use, so importing this module starts no thread."""
-
-    def __init__(self):
-        self._turn = threading.Lock()  # a caller's, from start() to its wait()
-        self._posted = threading.Lock()  # released when a call is handed over
-        self._done = threading.Lock()  # released when the call has returned
-        self._posted.acquire()
-        self._done.acquire()
-        self._call = self._outcome = None
-        self._thread = None
-
-    def start(self, fn, *args):
-        """Hand fn(*args) to the helper and return wait(), which the caller
-        must call: it gives the call's result, or raises its exception on
-        the caller's thread."""
-        self._turn.acquire()
-        try:
-            # a forked child inherits the thread object but not the thread
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(target=self._serve, name="drcw-sdp", daemon=True)
-                self._thread.start()
-        except BaseException:
-            self._turn.release()
-            raise
-        self._call = (fn, args)
-        self._posted.release()
-        return self._wait
-
-    def _wait(self):
-        self._done.acquire()
-        ok, value = self._outcome
-        self._outcome = None
-        self._turn.release()
-        if not ok:
-            raise value
-        return value
-
-    def _serve(self) -> None:
-        while True:
-            self._posted.acquire()
-            fn, args = self._call
-            self._call = None
-            try:
-                self._outcome = (True, fn(*args))
-            except BaseException as exc:  # _wait() raises it on the caller's thread
-                self._outcome = (False, exc)
-            del fn, args  # an idle helper holds no arrays
-            self._done.release()
-
-
-_HELPER = _Helper()
-
-
-def _on_two_threads(fn, here: tuple, there: tuple) -> list:
-    """[fn(*here), fn(*there)], the second call on the helper thread while
+def _on_two_threads(pool, fn, here: tuple, there: tuple) -> list:
+    """[fn(*here), fn(*there)], the second call on ``pool``'s thread while
     this thread makes the first."""
-    wait = _HELPER.start(fn, *there)
+    future = pool.submit(fn, *there)
     try:
         first = fn(*here)
     finally:
-        # the helper's call ends before this returns or raises
-        second = wait()
+        # the pool's call ends before this returns or raises
+        second = future.result()
     return [first, second]
 
 
-def _inverses(blocks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray] | None:
+def _inverses(pool, blocks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray] | None:
     """The blocks of Z^{-1} for Z = Diag(u) - A_tilde, or None if a block of
     Z is not positive definite. Every block is factored before any is
     inverted, so a trial step that fails costs no inverse. Two blocks of at
-    least _PAIRED_MIN rows are factored, then inverted, on two threads;
-    otherwise the blocks are factored in order, and the first that fails
-    ends the test."""
+    least _PAIRED_MIN rows are factored, then inverted, on this thread and
+    the thread of the one-worker ``pool``; otherwise the blocks are factored
+    in order on this thread, and the first that fails ends the test."""
     if len(blocks) < 2 or blocks[1].shape[0] < _PAIRED_MIN:
         factors = []
         for b in blocks:
@@ -299,13 +246,13 @@ def _inverses(blocks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray] | Non
             if factors[-1] is None:
                 return None
         return [_inverse_from_cholesky(L) for L in factors]
-    factors = _on_two_threads(_block_factor, (blocks[0], u), (blocks[1], u))
+    factors = _on_two_threads(pool, _block_factor, (blocks[0], u), (blocks[1], u))
     if any(L is None for L in factors):
         return None
     # Z_-^{-1} outlives the step, so this thread allocates it: what the
-    # helper allocates is then freed within the step, and its heap stays small
+    # pool's thread allocates is freed within the step, so its heap stays small
     out = np.empty_like(factors[1])
-    return _on_two_threads(_inverse_from_cholesky, (factors[0],), (factors[1], out))
+    return _on_two_threads(pool, _inverse_from_cholesky, (factors[0],), (factors[1], out))
 
 
 def solve_partition_sdp(
@@ -336,10 +283,11 @@ def solve_partition_sdp(
     reversal-symmetric) and one Cholesky factor per block of
     Z = Diag(y) - A_tilde at the accepted step, from which the blocks of
     Z^{-1} are formed; from M = 256 the two blocks' work runs on two
-    threads. A trial step is factored only if neither O(M) certificate (the
-    blocks' diagonals there, and Z's quadratic form there along each column
-    of the current Z^{-1}) shows it indefinite; the factorization alone
-    accepts a step.
+    threads, this one and the worker of an executor of this solve's own,
+    which is shut down when the solve returns or raises. A trial step is
+    factored only if neither O(M) certificate (the blocks' diagonals there,
+    and Z's quadratic form there along each column of the current Z^{-1})
+    shows it indefinite; the factorization alone accepts a step.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -383,56 +331,58 @@ def solve_partition_sdp(
     dobj = float(c @ u)
 
     exhausted = False
-    inverses = _inverses(blocks, u)
-    zinv_diag = _diagonal(inverses)
-    for _stage in range(120):
-        # Newton centering at the current t
-        for _ in range(80):
-            g = t * c - zinv_diag
-            H = _padded_sum([w * w for w in inverses])
-            try:
-                du = -np.linalg.solve(H, g)
-            except np.linalg.LinAlgError:
-                du = -np.linalg.solve(H + 1e-14 * np.eye(sizes[0]), g)
-            decrement2 = float(-g @ du)
-            zinv_min = float(np.min(zinv_diag / c))
-            step = 1.0
-            for _bt in range(70):
-                u_trial = u + step * du
-                if _certificates_pass(u_trial[block_index] - block_diag, zinv_min, step, t):
-                    trial = _inverses(blocks, u_trial)
-                    if trial is not None:
-                        inverses = trial
-                        break
-                step *= 0.5
-            else:
-                # the inverses are still those of the unchanged Z
-                step = 0.0
-            u = u + step * du
-            iterations += 1
-            # the inverses of the step the factorization accepted: the
-            # primal X_i = Z^{-1}/t below and the next Newton step use them
-            zinv_diag = _diagonal(inverses)
-            done = decrement2 < 1e-9 or iterations >= max_iter
-            if collect_trace or done:
-                # the trace only observes: its values reach the iterate state
-                # (and so the stopping test) only where an untraced solve
-                # would compute them too
-                pobj_i = sum(float(np.vdot(b, w)) for b, w in zip(blocks, inverses)) / t
-                dobj_i = float(c @ u)
-                if collect_trace:
-                    diag_res = float(np.max(np.abs(zinv_diag / (c * t) - 1.0)))
-                    trace_rows.append((iterations, pobj_i * norm, (dobj_i - pobj_i) * norm, diag_res))
-            if done:
-                X = [w / t for w in inverses]
-                pobj, dobj, gap = pobj_i, dobj_i, dobj_i - pobj_i
+    with ThreadPoolExecutor(1, thread_name_prefix="drcw-sdp") as pool:
+        inverses = _inverses(pool, blocks, u)
+        zinv_diag = _diagonal(inverses)
+        for _stage in range(120):
+            # Newton centering at the current t
+            for _ in range(80):
+                g = t * c - zinv_diag
+                H = _padded_sum([w * w for w in inverses])
+                try:
+                    du = -np.linalg.solve(H, g)
+                except np.linalg.LinAlgError:
+                    du = -np.linalg.solve(H + 1e-14 * np.eye(sizes[0]), g)
+                decrement2 = float(-g @ du)
+                zinv_min = float(np.min(zinv_diag / c))
+                step = 1.0
+                for _bt in range(70):
+                    u_trial = u + step * du
+                    if _certificates_pass(u_trial[block_index] - block_diag, zinv_min, step, t):
+                        trial = _inverses(pool, blocks, u_trial)
+                        if trial is not None:
+                            inverses = trial
+                            break
+                    step *= 0.5
+                else:
+                    # the inverses are still those of the unchanged Z
+                    step = 0.0
+                u = u + step * du
+                iterations += 1
+                # the inverses of the step the factorization accepted: the
+                # primal X_i = Z^{-1}/t below and the next Newton step use them
+                zinv_diag = _diagonal(inverses)
+                done = decrement2 < 1e-9 or iterations >= max_iter
+                if collect_trace or done:
+                    # the trace only observes: its values reach the iterate state
+                    # (and so the stopping test) only where an untraced solve
+                    # would compute them too
+                    pobj_i = sum(float(np.vdot(b, w)) for b, w in zip(blocks, inverses)) / t
+                    dobj_i = float(c @ u)
+                    if collect_trace:
+                        diag_res = float(np.max(np.abs(zinv_diag / (c * t) - 1.0)))
+                        gap_i = (dobj_i - pobj_i) * norm
+                        trace_rows.append((iterations, pobj_i * norm, gap_i, diag_res))
+                if done:
+                    X = [w / t for w in inverses]
+                    pobj, dobj, gap = pobj_i, dobj_i, dobj_i - pobj_i
+                    break
+            if gap <= 0.5 * tol * max(scale, abs(pobj)):
                 break
-        if gap <= 0.5 * tol * max(scale, abs(pobj)):
-            break
-        if iterations >= max_iter:
-            exhausted = True
-            break
-        t *= mu
+            if iterations >= max_iter:
+                exhausted = True
+                break
+            t *= mu
 
     # exact unit diagonal; a congruence with a positive diagonal matrix
     # preserves positive definiteness, and a reversal-symmetric one acts on

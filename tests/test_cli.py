@@ -142,6 +142,26 @@ class TestDesignCommand:
         assert run_cli("design", "uniform", "--m", "8", "--grid", "128", "-o", str(out)) == 2
         assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("missing", ["out", "trace"])
+    def test_unwritable_output_is_refused_before_any_design_work(
+        self, monkeypatch, tmp_path, capsys, missing
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("design work ran before the outputs were checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        paths = {"out": tmp_path / "d.json", "trace": tmp_path / "tr.csv"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code = run_cli(
+            "design", "nm", "--m", "256", "--k0", "8", "--window", "hamming",
+            "-o", str(paths["out"]), "--trace", str(paths["trace"]),
+        )
+        assert code == 2
+        assert f"cannot write {paths[missing]}: No such file or directory" in (
+            capsys.readouterr().err
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_shorter_rewrite_equals_a_fresh_document(self, tmp_path):
         long_doc, fresh = tmp_path / "d.json", tmp_path / "fresh.json"
         run_cli("design", "bd", "--m", "128", "--n", "8", "--grid", "256", "-o", str(long_doc))
@@ -323,15 +343,28 @@ class TestTableCommand:
         assert header == "window,k0,rsba_halfwidth_over_pi,dmbr_percent,pdsl_db,nag_db"
 
     def test_stdout_pipe_output(self):
-        # a pipe is not a regular file, so it is written but never cut
-        proc = subprocess.run(
-            [sys.executable, "-m", "drcw", "table", "--k0", "2", "--windows", "hamming",
-             "--m", "8", "--n", "8", "--trials", "10", "--grid", "64", "-o", "/dev/stdout"],
-            capture_output=True, text=True, env=TestSubprocessEntry.ENV,
+        # a pipe is not a regular file, so it is written but never cut; the
+        # note goes to stderr, so stdout holds the table alone
+        argv = [sys.executable, "-m", "drcw", "table", "--k0", "2", "--windows", "hamming",
+                "--m", "8", "--n", "8", "--trials", "10", "--grid", "64"]
+        piped, plain = (
+            subprocess.run(argv + extra, capture_output=True, text=True,
+                           env=TestSubprocessEntry.ENV)
+            for extra in (["-o", "/dev/stdout"], [])
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.startswith("| window | k0 |")
-        assert proc.stdout.endswith("wrote /dev/stdout\n")
+        assert piped.returncode == plain.returncode == 0, (piped.stderr, plain.stderr)
+        assert plain.stdout.startswith("| window | k0 |")
+        assert piped.stdout == plain.stdout
+        assert piped.stderr == "wrote /dev/stdout\n"
+
+    def test_unwritable_output_is_refused_before_the_sweep(self, monkeypatch, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before the output was checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        out = tmp_path / "missing" / "t.md"
+        assert run_cli("table", "--k0", "2", "--m", "8", "-o", str(out)) == 2
+        assert f"cannot write {out}: No such file or directory" in capsys.readouterr().err
 
     def test_empty_k0_is_usage_error(self, capsys):
         assert run_cli("table", "--k0", "", "--m", "10") == 2

@@ -254,7 +254,7 @@ def one_shot_round(s_matrix, p, window, trials, seed):
 
 
 def draw_threads():
-    return [t for t in threading.enumerate() if t.name == "drcw-draws"]
+    return [t for t in threading.enumerate() if t.name.startswith("drcw-draws")]
 
 
 def lead_blocks(m):
@@ -344,12 +344,16 @@ class TestDrawThread:
         # 4 blocks at M=50 and 2 at M=512 (1 MiB), however many trials
         assert lead_blocks(m) == {50: 4, 512: 2}[m]
         with design._Draws(0, 100 * block_rows(m), m) as draws:
+
+            def drawn():
+                return sum(f.done() for f in draws._drawn)
+
             deadline = time.monotonic() + 30
-            while draws._drawn.qsize() < lead_blocks(m) and time.monotonic() < deadline:
+            while drawn() < lead_blocks(m) and time.monotonic() < deadline:
                 time.sleep(0.001)
-            time.sleep(0.05)  # time enough for a block more, were one free
-            assert draws._drawn.qsize() == lead_blocks(m)
-            assert draws._free.empty()
+            time.sleep(0.05)  # time enough for a block more, were one queued
+            assert drawn() == lead_blocks(m)
+            assert len(draws._drawn) == lead_blocks(m)
         assert draw_threads() == []
 
     def test_design_equals_rounding_with_the_plain_seed(self):
@@ -376,7 +380,7 @@ class TestDrawThread:
         result = next_design()
         monkeypatch.undo()
         assert alive == [1]
-        assert set(threads) == {"drcw-draws"}
+        assert set(threads) == {"drcw-draws_0"}
         assert len(threads) == -(-NEXT_DESIGN[3] // block_rows(NEXT_DESIGN[0]))
         assert design_bytes(result) == design_bytes(next_design())
 
@@ -459,7 +463,7 @@ class TestDrawThread:
 
     def test_concurrent_designs(self):
         # more calling threads than cores, switching often: each design has
-        # its own draw thread, and all share the solver's one helper
+        # its own draw thread, and each solve its own A- block thread
         args = (256, NullSpec(k0=8), window_template("hamming", 256))
         reference = design_bytes(design_nm_drcw(*args, trials=1000, seed=3))
         results, errors = [], []

@@ -1,5 +1,9 @@
+import hashlib
+import os
+import signal
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -305,9 +309,13 @@ def assert_same_solution(a, b):
     assert (a.iterations, a.converged, a.trace) == (b.iterations, b.converged, b.trace)
 
 
+def sdp_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("drcw-sdp")]
+
+
 class TestPairedBlocks:
-    """From _PAIRED_MIN rows per block, the helper thread factors and
-    inverts the A- block while the calling thread does A+."""
+    """From _PAIRED_MIN rows per block, the worker of the solve's own pool
+    factors and inverts the A- block while the calling thread does A+."""
 
     @staticmethod
     def solve(monkeypatch, form, paired_min, **kwargs):
@@ -366,8 +374,8 @@ class TestPairedBlocks:
         trials, inverted = [], []
         inverses, inverse = sdp._inverses, sdp._inverse_from_cholesky
 
-        def counted_inverses(blocks, u):
-            out = inverses(blocks, u)
+        def counted_inverses(*args):
+            out = inverses(*args)
             trials.append(out is not None)
             return out
 
@@ -403,28 +411,32 @@ class TestPairedBlocks:
     def test_failing_call_raises_on_the_calling_thread(self, monkeypatch, name, failing_on_helper):
         blocks, _ = sdp._blocks(hamming_form(256, NullSpec(k0=8)) / 256.0)
         u = np.full(128, 10.0)  # far above the blocks' spectra
-        expected = [w.tobytes() for w in sdp._inverses(blocks, u)]
         work = getattr(sdp, name)
+        finished = []
 
         def failing(*args):
             on_helper = threading.current_thread() is not threading.main_thread()
-            if on_helper == failing_on_helper:
-                raise ZeroDivisionError(f"{name} on helper={on_helper}")
-            return work(*args)
+            try:
+                if on_helper == failing_on_helper:
+                    raise ZeroDivisionError(f"{name} on helper={on_helper}")
+                return work(*args)
+            finally:
+                finished.append(on_helper)
 
-        # a helper of this test's own, so a broken one cannot stall the rest
-        monkeypatch.setattr(sdp, "_HELPER", sdp._Helper())
-        with monkeypatch.context() as mp:
-            mp.setattr(sdp, name, failing)
-            with pytest.raises(ZeroDivisionError, match=f"helper={failing_on_helper}"):
-                sdp._inverses(blocks, u)
-        # the helper finished its call, and serves the next one
-        assert not sdp._HELPER._turn.locked()
-        assert [w.tobytes() for w in sdp._inverses(blocks, u)] == expected
+        # a pool of this test's own, so a broken one cannot stall the rest
+        with ThreadPoolExecutor(1) as pool:
+            expected = [w.tobytes() for w in sdp._inverses(pool, blocks, u)]
+            with monkeypatch.context() as mp:
+                mp.setattr(sdp, name, failing)
+                with pytest.raises(ZeroDivisionError, match=f"helper={failing_on_helper}"):
+                    sdp._inverses(pool, blocks, u)
+            # both calls had ended when it raised, and the pool runs the next one
+            assert sorted(finished) == [False, True]
+            assert [w.tobytes() for w in sdp._inverses(pool, blocks, u)] == expected
 
     def test_concurrent_solves_share_the_helper(self):
         # more calling threads than cores, switching often: every solve must
-        # get its own A- work back from the one helper thread
+        # get its own A- work back from the worker of its own pool
         form = hamming_form(256, NullSpec(k0=8))
         reference = solve_partition_sdp(form)
         results, errors = [], []
@@ -451,6 +463,56 @@ class TestPairedBlocks:
         assert len(results) == 6
         for sol in results:
             assert_same_solution(sol, reference)
+        assert sdp_threads() == []
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_the_solve(self, monkeypatch, fails):
+        names = []
+        work = sdp._block_factor
+
+        def spy(*args):
+            if threading.current_thread() is not threading.main_thread():
+                names.append(threading.current_thread().name)
+                if fails and len(names) == 5:
+                    raise ZeroDivisionError("factor failed")
+            return work(*args)
+
+        monkeypatch.setattr(sdp, "_block_factor", spy)
+        form = hamming_form(256, NullSpec(k0=8))
+        if fails:
+            with pytest.raises(ZeroDivisionError):
+                solve_partition_sdp(form)
+        else:
+            assert solve_partition_sdp(form).converged
+        assert set(names) == {"drcw-sdp_0"}
+        assert sdp_threads() == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_child_forked_after_a_solve_solves_bit_identically(self):
+        def digest(sol):
+            record = (sol.objective, sol.dual_bound, sol.residuals, sol.iterations,
+                      sol.converged, sol.trace)
+            return hashlib.sha256(sol.s_matrix.tobytes() + repr(record).encode()).hexdigest()
+
+        form = hamming_form(256, NullSpec(k0=8))
+        expected = digest(solve_partition_sdp(form, collect_trace=True))
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the child: a thread it did not inherit must not stall it
+            code = 1
+            try:
+                os.close(read_end)
+                signal.alarm(120)
+                os.write(write_end, digest(solve_partition_sdp(form, collect_trace=True)).encode())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_end)
+        with os.fdopen(read_end) as child_out:
+            got = child_out.read()
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == expected
 
 
 class TestErrorHandling:
