@@ -12,7 +12,8 @@ with G(theta) = sum w_m e^{j theta m} and F(theta) = sum s_m w_m e^{j theta m}.
 Complementarity kills the first term at every nonzero lag, so range
 sidelobes are proportional to |F| and the zero-lag Doppler profile to |G|.
 Every metric is therefore computed from F and G, which ``factors``
-evaluates on the uniform Doppler grid with one FFT. The CAF itself
+evaluates on the uniform Doppler grid with one real FFT, exactly
+conjugate-symmetric about theta = 0. The CAF itself
 (``composite_ambiguity``) is kept as that rank-2 factorization, the
 (2N-1) x 2 real coefficients and the 2 x G complex basis [G; F], and the
 caf.csv/caf.svg exports evaluate it one distinct row at a time. The dense
@@ -155,8 +156,12 @@ def factors(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
     G_ref is G for unit weights. Every ``DopplerGrid`` has
     theta_k = -pi + 2 pi k / L, with L = G points for even G and L = G - 1
     for odd G (whose last point, +pi, repeats the first), so
-    F(theta_k) = sum_m y_m (-1)^m e^{2 pi j k m / L}: one length-L FFT of
-    the columns [y, w, 1] (-1)^m, with pulses folded modulo L when M > L.
+    F(theta_k) = sum_m y_m (-1)^m e^{2 pi j k m / L}, the conjugate of a
+    length-L real FFT of the columns [y, w, 1] (-1)^m, with pulses folded
+    modulo L when M > L. The real FFT gives the theta <= 0 half, k <= L/2.
+    As the columns are real, F(-theta) = conj F(theta), and the theta > 0
+    half is filled with the conjugates of its mirror points, so every value
+    at -theta and theta is an exact conjugate pair, bit for bit.
     """
     length = grid.size - grid.size % 2
     columns = np.stack([design.y, design.weights, np.ones(design.m)])
@@ -164,8 +169,10 @@ def factors(design: DesignResult, grid: DopplerGrid) -> np.ndarray:
     if design.m > length:
         columns = np.pad(columns, ((0, 0), (0, -design.m % length)))
         columns = columns.reshape(3, -1, length).sum(axis=1)
-    values = np.fft.ifft(columns, n=length, axis=1, norm="forward")
-    return values if length == grid.size else np.concatenate([values, values[:, :1]], axis=1)
+    half = np.fft.rfft(columns, n=length, axis=1).conj()
+    # the mirror of point zero_index + j is zero_index - j
+    mirror = half[:, 1 - grid.size % 2 : grid.zero_index][:, ::-1]
+    return np.concatenate([half, mirror.conj()], axis=1)
 
 
 def magnitude_db(values, ref: float | None = None) -> np.ndarray:

@@ -8,9 +8,12 @@ identical runs produce byte-identical files.
 
 CSV exports use a header row, UTF-8, '.' decimal separator, and 12
 significant digits, from %-templates whose theta column is formatted once
-per grid. ``caf_csv`` and ``svg_heatmap`` evaluate the CAF from its rank-2
-factors one distinct row at a time, never the dense lag x Doppler array,
-and format each sign class (the rows equal up to sign) once. ``caf_csv``
+per grid. A number on the Doppler grid (in caf.csv, prsl.csv, doppler.csv
+or the prsl_curve) is formatted once per mirror pair theta, -theta whose
+numbers are bitwise equal, as ``analysis.factors`` makes them.
+``caf_csv`` and ``svg_heatmap`` evaluate the CAF from its rank-2 factors
+one distinct row at a time, never the dense lag x Doppler array, and
+format each sign class (the rows equal up to sign) once. ``caf_csv``
 writes to an open binary stream lag by lag, so its memory follows the
 distinct CAF rows rather than the size of the file. SVG rendering is
 presentation sugar derived from the same numbers; nothing reads it back.
@@ -41,7 +44,7 @@ from .design import DesignResult
 from .nullspec import NullSpec
 from .sequences import WINDOW_KINDS
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
@@ -85,15 +88,32 @@ def build_document(
     }
 
 
-def _number_list(values: list, pad: str) -> str:
-    """The indent=2 JSON text of a flat list of numbers whose key sits at
-    indent ``pad``, from json's C encoder (which only runs without
-    ``indent``): the item separator carries the newline and the indent."""
-    if not values:
+def _mirrored(numbers: np.ndarray, encode) -> list:
+    """``encode(numbers)``, the texts of the rows of ``numbers``, one row per
+    Doppler grid point. If every row z + j (z = len // 2) is bitwise equal
+    to its mirror row z - j, only the theta <= 0 half is encoded, and each
+    text is repeated at its mirror point."""
+    z = len(numbers) // 2
+    last = 2 * z + 1 - len(numbers)  # the last point's mirror: 1 on even grids, 0 on odd
+    if not np.array_equal(numbers[z + 1:].view(np.int64), numbers[last:z][::-1].view(np.int64)):
+        return encode(numbers)
+    texts = encode(numbers[: z + 1])
+    return texts + texts[last:z][::-1]
+
+
+def _json_texts(values: list) -> list[str]:
+    """The JSON text of each entry of a flat list of numbers, from one call
+    of json's C encoder (which only runs without ``indent``)."""
+    return json.dumps(values, separators=("\n", ": "))[1:-1].split("\n") if values else []
+
+
+def _number_list(texts: list[str], pad: str) -> str:
+    """The indent=2 JSON text of a flat list of numbers, given as its
+    entries' ``texts``, whose key sits at indent ``pad``."""
+    if not texts:
         return "[]"
     inner = pad + "  "
-    body = json.dumps(values, separators=(",\n" + inner, ": "))[1:-1]
-    return f"[\n{inner}{body}\n{pad}]"
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]"
 
 
 def dumps_document(doc: dict) -> str:
@@ -101,14 +121,22 @@ def dumps_document(doc: dict) -> str:
     plus a newline, byte for byte. The long number lists s, w and
     metrics.prsl_curve are encoded apart and spliced in where the rest's
     text holds them empty; a raw newline followed by a key's indent can
-    only start that key, since JSON strings escape their newlines."""
+    only start that key, since JSON strings escape their newlines. A curve
+    of floats is encoded once per mirror pair of Doppler grid points."""
     metrics = doc["metrics"]
     rest = dict(doc, s=[], w=[], metrics=dict(metrics, prsl_curve=[]))
     text = json.dumps(rest, indent=2, sort_keys=True, ensure_ascii=False)
     for key in ("s", "w"):
-        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {_number_list(doc[key], "  ")}', 1)
+        array = _number_list(_json_texts(doc[key]), "  ")
+        text = text.replace(f'\n  "{key}": []', f'\n  "{key}": {array}', 1)
     head, tail = text.split('\n  "metrics": ', 1)
-    curve = _number_list(metrics["prsl_curve"], "    ")
+    curve = metrics["prsl_curve"]
+    # an int or a bool prints unlike the float of its value
+    if type(curve) is list and set(map(type, curve)) == {float}:
+        texts = _mirrored(np.array(curve), lambda half: _json_texts(half.tolist()))
+    else:
+        texts = _json_texts(curve)
+    curve = _number_list(texts, "    ")
     tail = tail.replace('\n    "prsl_curve": []', f'\n    "prsl_curve": {curve}', 1)
     return f'{head}\n  "metrics": {tail}\n'
 
@@ -289,10 +317,20 @@ _SIGNS = np.array([b"", b"-"], dtype=object)
 
 
 @functools.lru_cache(maxsize=1)
-def _theta_text(grid: DopplerGrid) -> tuple[tuple[str, ...], str]:
-    """``grid``'s theta column in every CSV export, and ``curve_csv``'s template."""
-    theta = tuple(f"{t:.12g}" for t in grid.points.tolist())
-    return theta, "".join(f"{t},%.12g\n" for t in theta)
+def _theta_text(grid: DopplerGrid, block: int) -> tuple[str, tuple[bytes, ...]]:
+    """``grid``'s theta column in every CSV export: ``curve_csv``'s template
+    and ``caf_csv``'s line templates, ``block`` lines each. A point's ``%s``
+    takes its text; a CAF line's ``%%s`` becomes the slot of re's sign."""
+    theta = [f"{t:.12g}" for t in grid.points.tolist()]
+    lines = [f"\n{t},%%s%s".encode() for t in theta]
+    blocks = tuple(b"".join(lines[a:a + block]) for a in range(0, len(lines), block))
+    return "".join(f"{t},%s\n" for t in theta), blocks
+
+
+def _percent_texts(template, rows: np.ndarray) -> list:
+    """The text of each of ``rows``, formatted by ``template`` (which ends in
+    its one newline) in one %-pass."""
+    return (template * len(rows) % tuple(rows.ravel().tolist())).split(template[-1:])[:-1]
 
 
 def _sign_classes(caf: CafGrid, unsigned, make, fill=lambda text, row: text):
@@ -318,9 +356,10 @@ def _sign_classes(caf: CafGrid, unsigned, make, fill=lambda text, row: text):
 
 def curve_csv(grid: DopplerGrid, values, column: str) -> str:
     """Two-column export of a curve over the Doppler grid, e.g. ``column``
-    "prsl_db" for the PRSL curve or "g_db" for the Doppler profile."""
-    values = tuple(np.asarray(values, dtype=float).tolist())
-    return f"theta_rad,{column}\n" + _theta_text(grid)[1] % values
+    "prsl_db" for the PRSL curve or "g_db" for the Doppler profile, with
+    each mirror pair's value formatted once."""
+    texts = _mirrored(np.asarray(values, dtype=float), functools.partial(_percent_texts, "%.12g\n"))
+    return f"theta_rad,{column}\n" + _theta_text(grid, _BLOCK)[0] % tuple(texts)
 
 
 def caf_csv(caf: CafGrid, out) -> None:
@@ -331,14 +370,14 @@ def caf_csv(caf: CafGrid, out) -> None:
     It is written lag by lag from the CAF's rank-2 factors. At k != 0 the
     row is (R1-R2)[k]/2 * F, and that integer takes few values: 13 distinct
     rows in 8 sign classes of 127 at N=64. Each class's |re|, |im| and dB
-    are formatted once with open sign slots, each distinct row fills in its
-    signs, and each lag adds its prefix as it is written. So memory follows
-    the distinct rows, not the size of the file.
+    are formatted once per mirror pair of Doppler points with open sign
+    slots, each distinct row fills in its signs, and each lag adds its
+    prefix as it is written. So memory follows the distinct rows, not the
+    size of the file.
     """
-    theta = _theta_text(caf.doppler)[0]
-    blocks = range(0, len(theta), _BLOCK)
-    line, peak = "\n{},%%s%.12g,%%s%.12g,%.12g", caf.peak
-    templates = ["".join(map(line.format, theta[a:a + _BLOCK])).encode() for a in blocks]
+    templates, peak = _theta_text(caf.doppler, _BLOCK)[1], caf.peak
+    blocks = range(0, caf.doppler.size, _BLOCK)
+    point = functools.partial(_percent_texts, b"%.12g,%%s%.12g,%.12g\n")
 
     # as floats, a complex row interleaves re and im, as a line does
     def unsigned(row):
@@ -346,7 +385,8 @@ def caf_csv(caf: CafGrid, out) -> None:
         return np.column_stack([parts, magnitude_db(row, ref=peak)])
 
     def make(cells):
-        return [t % tuple(cells[a:a + _BLOCK].ravel().tolist()) for a, t in zip(blocks, templates)]
+        texts = _mirrored(cells, point)
+        return [t % tuple(texts[a:a + _BLOCK]) for a, t in zip(blocks, templates)]
 
     def fill(texts, row):
         parts = row.view(float)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drcw.analysis import (
@@ -153,6 +153,30 @@ class TestFactors:
         scale = float(np.sum(d.weights))
         assert np.max(np.abs(got[:2] - want[:2])) <= 1e-12 * scale
         assert np.max(np.abs(got[2] - want[2])) <= 1e-12 * m
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.integers(min_value=2, max_value=70) | st.sampled_from([256, 257, 8192, 8193]),
+        m=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(size=2, m=5, seed=0)
+    @example(size=3, m=4, seed=1)
+    @example(size=16, m=50, seed=2)  # M > grid: pulses folded
+    @example(size=17, m=50, seed=3)
+    def test_conjugate_symmetric_bit_for_bit(self, size, m, seed):
+        # y and w are real, so F(-theta) = conj F(theta), G likewise; the
+        # grid point zero_index + j sits at -theta of zero_index - j
+        grid = DopplerGrid(size)
+        got = factors(random_design(np.random.default_rng(seed), m), grid)
+        z = grid.zero_index
+        mirror = 2 * z - np.arange(z + 1, size)
+        assert got[:, z + 1:].tobytes() == got[:, mirror].conj().tobytes()
+        # theta = 0, and -pi on even grids (+pi is not on them), are their
+        # own mirrors modulo 2 pi: the values there are real
+        assert np.all(got[:, z].imag == 0.0)
+        if size % 2 == 0:
+            assert np.all(got[:, 0].imag == 0.0)
 
 
 class TestPrsl:

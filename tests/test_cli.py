@@ -317,6 +317,14 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", str(v2)) == 2
         assert run_cli("verify", str(v2)) == 2
         assert "unsupported schema_version 2" in capsys.readouterr().err
+        # version 3 documents carry curves from the complex FFT, whose
+        # deepest nulls differ from the real FFT's by up to 1.9e-6 dB
+        old["schema_version"] = 3
+        v3 = tmp_path / "v3.json"
+        v3.write_text(json.dumps(old))
+        for command in ("analyze", "verify"):
+            assert run_cli(command, str(v3)) == 2
+            assert "unsupported schema_version 3; expected 4" in capsys.readouterr().err
 
 
 class TestTableCommand:

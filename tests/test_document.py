@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from drcw import cli
 from drcw import document
-from drcw.analysis import CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db
+from drcw.analysis import (
+    CafGrid, DopplerGrid, composite_ambiguity, compute_metrics, magnitude_db, prsl_curve,
+)
 from drcw.design import design_bd, design_nm_drcw, design_ptm, design_uniform
 from drcw.document import (
     _H, _MB, _ML, _MR, _MT, _W, _sign_classes, build_document, caf_csv, curve_csv,
@@ -411,6 +413,94 @@ class TestCsvFormat:
         finally:
             tracemalloc.stop()
         assert peak < (2 * n - 1) * points * 16
+
+
+@pytest.fixture(scope="module", params=["nm51", "bd", "ptm"])
+def mirror_design(request):
+    return {
+        "nm51": lambda: design_nm_drcw(
+            51, NullSpec(k0=9, nulls=((0.3 * math.pi, 2),)), window_template("hamming", 51),
+            trials=50, seed=1,
+        ),
+        "bd": lambda: design_bd(12),
+        "ptm": lambda: design_ptm(16),
+    }[request.param]()
+
+
+# the double nearest 1.000000000005 lies just above that .12g rounding
+# midpoint and the one below it just under, so they print differently
+ABOVE_MIDPOINT = 1.000000000005
+BELOW_MIDPOINT = float(np.nextafter(ABOVE_MIDPOINT, -np.inf))
+
+
+class TestMirrorFormatting:
+    """caf.csv, prsl.csv, doppler.csv and the document's prsl_curve format
+    each mirror pair of Doppler points once, when the pair's numbers are
+    bitwise equal; the text must be what formatting every point gives."""
+
+    @pytest.fixture
+    def encoded(self, monkeypatch):
+        """(points, rows encoded) for each mirror-formatted list."""
+        calls, mirrored = [], document._mirrored
+
+        def spy(numbers, encode):
+            def recorded(rows):
+                calls.append((len(numbers), len(rows)))
+                return encode(rows)
+
+            return mirrored(numbers, recorded)
+
+        monkeypatch.setattr(document, "_mirrored", spy)
+        return calls
+
+    @pytest.mark.parametrize("points", [2, 3, 257, 1025, 8192])
+    def test_real_designs_match_the_references(self, mirror_design, points, encoded):
+        pair, grid = generate_golay_pair(8), DopplerGrid(points)
+        caf = composite_ambiguity(mirror_design, pair, grid)
+        g, f = caf.basis
+        curve, g_db = prsl_curve(mirror_design, pair, f), magnitude_db(g)
+        assert caf_csv_text(caf) == caf_csv_reference(caf)
+        assert curve_csv(grid, curve, "prsl_db") == curve_csv_reference(grid, curve, "prsl_db")
+        assert curve_csv(grid, g_db, "g_db") == curve_csv_reference(grid, g_db, "g_db")
+        doc = dict(document_of(mirror_design), grid=points)
+        doc["metrics"]["prsl_curve"] = curve.tolist()
+        assert dumps_document(doc) == TestDocumentEncoding.reference(doc)
+        # the theta <= 0 half was formatted alone, for each CAF sign class,
+        # the two curves and the document's curve
+        assert len(encoded) >= 4 and set(encoded) == {(points, points // 2 + 1)}
+
+    @pytest.mark.parametrize("points", [8, 9])
+    def test_curve_one_bit_off_its_mirror(self, points, encoded):
+        grid = DopplerGrid(points)
+        z = grid.zero_index
+        values = np.random.default_rng(points).uniform(-80.0, 0.0, points)
+        values[z + 1:] = values[2 * z + 1 - points: z][::-1]
+        values[z - 2], values[z + 2] = BELOW_MIDPOINT, ABOVE_MIDPOINT
+        assert curve_csv(grid, values, "prsl_db") == curve_csv_reference(grid, values, "prsl_db")
+        doc = dict(document_of(design_bd(12)), grid=points)
+        doc["metrics"]["prsl_curve"] = values.tolist()
+        assert dumps_document(doc) == TestDocumentEncoding.reference(doc)
+        assert encoded == [(points, points)] * 2
+
+    @pytest.mark.parametrize("points", [8, 9])
+    def test_caf_grid_one_bit_off_its_mirror(self, points, encoded):
+        # rows F, G, F over a conjugate-symmetric F whose re at one point is
+        # one ulp off its mirror's
+        grid = DopplerGrid(points)
+        z = grid.zero_index
+        rng = np.random.default_rng(points)
+        f = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+        f[z] = f[z].real
+        f[z + 1:] = f[2 * z + 1 - points: z][::-1].conj()
+        f[z - 2], f[z + 2] = complex(BELOW_MIDPOINT, 0.5), complex(ABOVE_MIDPOINT, -0.5)
+        coefficients = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+        caf = CafGrid(
+            lags=np.arange(-1, 2), doppler=grid, coefficients=coefficients,
+            basis=np.array([np.ones(points), f]),
+        )
+        assert caf_csv_text(caf) == caf_csv_reference(caf)
+        # the class of the F rows whole, that of the G row by halves
+        assert encoded == [(points, points), (points, points // 2 + 1)]
 
 
 class TestOpenOutput:
