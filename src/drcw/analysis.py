@@ -29,6 +29,7 @@ integration gain loss of the weights).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -115,9 +116,10 @@ class CafGrid:
         exports never read it."""
         return np.stack([self.row(i) for i in range(len(self.lags))])
 
-    @property
+    @functools.cached_property
     def peak(self) -> float:
-        """Zero-lag zero-Doppler response N * sum(w), the global maximum."""
+        """Zero-lag zero-Doppler response N * sum(w), the global maximum,
+        evaluated on first use."""
         return abs(self.row(self.zero_lag_index)[self.doppler.zero_index])
 
 
@@ -141,9 +143,8 @@ def composite_ambiguity(design: DesignResult, pair: GolayPair, grid: DopplerGrid
         coefficients=0.5 * np.column_stack([r1 + r2, r1 - r2]),
         basis=np.stack([g, f]),
     )
-    peak = caf.row(caf.zero_lag_index)[grid.zero_index]
     expected = pair.n * float(np.sum(design.weights))
-    if abs(peak - expected) > 1e-9 * max(1.0, expected):
+    if abs(caf.peak - expected) > 1e-9 * max(1.0, expected):
         raise AssertionError("zero-lag zero-Doppler response mismatch")
     return caf
 

@@ -17,6 +17,9 @@ format each sign class (the rows equal up to sign) once. ``caf_csv``
 writes to an open binary stream lag by lag, so its memory follows the
 distinct CAF rows rather than the size of the file. SVG rendering is
 presentation sugar derived from the same numbers; nothing reads it back.
+It too formats only distinct numbers: a line plot's x pixels once per x
+array, its y pixels once per mirror pair, and a heatmap's cells once per
+sign class, split at the y slots that each lag joins its y into.
 
 Every file drcw writes goes through ``open_output``. It writes the path
 from its start without truncating it first, so a rewrite reuses the old
@@ -430,11 +433,28 @@ def _svg(title: str, body: list[str], xlabel: str, ylabel: str) -> str:
         f'font-family="sans-serif" font-size="13" '
         f'transform="rotate(-90 16 {_MT + _PH / 2:.1f})">{ylabel}</text>',
         "</svg>",
+        "",
     ]
-    return "\n".join(parts) + "\n"
+    return "\n".join(parts)
+
+
+def _x_pixel(x, x0: float, x1: float):
+    return _ML + (x - x0) / (x1 - x0) * _PW
+
+
+@functools.lru_cache(maxsize=1)
+def _x_text(xs: bytes) -> str:
+    """The polyline points over ``xs``, the bytes of a float64 array, with
+    each x pixel formatted and each y left as a ``%s`` slot."""
+    x = np.frombuffer(xs)
+    pixels = _x_pixel(x, float(x.min()), float(x.max())).tolist()
+    return " ".join(["%.2f,%%s"] * len(pixels)) % tuple(pixels)
 
 
 def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
+    """A curve over ``xs``, clipped below at ``_Y_FLOOR``. The x pixels are
+    formatted once per distinct ``xs`` (so the plots of one grid share
+    them), and the y pixels once per mirror pair of bitwise equal values."""
     xs = np.asarray(xs, dtype=float)
     ys = np.maximum(np.asarray(ys, dtype=float), _Y_FLOOR)
     x0, x1 = float(xs.min()), float(xs.max())
@@ -442,22 +462,19 @@ def svg_line_plot(xs, ys, title: str, xlabel: str, ylabel: str) -> str:
     if y1 == y0:
         y1 = y0 + 1.0
 
-    def px(x):
-        return _ML + (x - x0) / (x1 - x0) * _PW
-
     def py(y):
         return _MT + (y1 - y) / (y1 - y0) * _PH
 
-    # px and py on whole arrays do the scalar operations in the same order,
-    # so every coordinate rounds as it would point by point
-    coords = np.stack([px(xs), py(ys)], axis=1).ravel().tolist()
-    pts = " ".join(["%.2f,%.2f"] * len(xs)) % tuple(coords)
+    # the pixel formulas on whole arrays do the scalar operations in the
+    # same order, so every coordinate rounds as it would point by point
+    y_texts = _mirrored(py(ys), functools.partial(_percent_texts, "%.2f\n"))
+    pts = _x_text(xs.tobytes()) % tuple(y_texts)
     body = [_BORDER, f'<polyline points="{pts}" fill="none" stroke="steelblue" stroke-width="1"/>']
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
         body.append(
-            f'<text x="{px(xv):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
+            f'<text x="{_x_pixel(xv, x0, x1):.1f}" y="{_H - _MB + 18}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{xv:.3g}</text>'
         )
         body.append(
@@ -473,11 +490,12 @@ def svg_heatmap(caf: CafGrid, title: str) -> str:
     Doppler columns are max-pooled down to at most ``_MAX_COLS`` cells so
     the file stays manageable; the pooling preserves sidelobe peaks. Each
     sign class's cells are pooled and formatted once, as the map depends
-    only on |row|, and each lag fills in only its y.
+    only on |row|, and split at its y slots; each lag joins its y into the
+    pieces.
     """
     starts = np.arange(0, caf.doppler.size, math.ceil(caf.doppler.size / _MAX_COLS))
     cw, ch, peak = _PW / starts.size, _PH / caf.lags.size, caf.peak
-    # one template per row of cells; "{y}" is swapped for each lag's y
+    # one template per row of cells; "{y}" marks each slot of the lag's y
     template = "\n".join(
         f'<rect x="{_ML + j * cw:.2f}" y="{{y}}" width="{cw + 0.05:.2f}" '
         f'height="{ch + 0.05:.2f}" fill="rgb(%d,%d,%d)"/>'
@@ -488,6 +506,9 @@ def svg_heatmap(caf: CafGrid, title: str) -> str:
         db = magnitude_db(np.maximum.reduceat(np.abs(row), starts), ref=peak)
         return np.rint(255 * np.clip(db, _DB_MIN, 0.0) / _DB_MIN).astype(int)
 
-    rows = _sign_classes(caf, levels, lambda v: template % tuple(np.repeat(v, 3).tolist()))
-    body = [text.replace("{y}", f"{_MT + i * ch:.2f}") for i, (_, text) in enumerate(rows)]
+    def make(v):
+        return (template % tuple(np.repeat(v, 3).tolist())).split("{y}")
+
+    rows = _sign_classes(caf, levels, make)
+    body = [f"{_MT + i * ch:.2f}".join(pieces) for i, (_, pieces) in enumerate(rows)]
     return _svg(title, [*body, _BORDER], "Doppler shift (rad/pulse)", "lag")

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from drcw.analysis import (
     DB_FLOOR,
+    CafGrid,
     DopplerGrid,
     composite_ambiguity,
     compute_metrics,
@@ -113,6 +115,17 @@ class TestCompositeAmbiguity:
         recomposed = 0.5 * np.outer(r1 + r2, g) + 0.5 * np.outer(r1 - r2, f)
         scale = np.max(np.abs(recomposed))
         assert np.max(np.abs(caf.values - recomposed)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("points", [2, 3, 8192])
+    def test_peak_is_the_zero_lag_zero_doppler_cell_evaluated_once(self, points):
+        d = design_nm_drcw(16, NullSpec(k0=3), window_template("hamming", 16), trials=50, seed=2)
+        caf = composite_ambiguity(d, generate_golay_pair(8), DopplerGrid(points))
+        cell = abs(caf.row(caf.zero_lag_index)[caf.doppler.zero_index])
+        # composite_ambiguity's own check has evaluated it; reading it again
+        # evaluates no row
+        with mock.patch.object(CafGrid, "row", side_effect=AssertionError("row evaluated")):
+            peak = caf.peak
+        assert np.float64(peak).tobytes() == np.float64(cell).tobytes()
 
 
 class TestFactors:

@@ -433,6 +433,16 @@ ABOVE_MIDPOINT = 1.000000000005
 BELOW_MIDPOINT = float(np.nextafter(ABOVE_MIDPOINT, -np.inf))
 
 
+def text_step(text, lo: float, hi: float) -> tuple[float, float]:
+    """Two adjacent doubles in [lo, hi] whose ``text`` differs, found by
+    bisection from ``text(lo) != text(hi)``."""
+    assert text(lo) != text(hi)
+    while np.nextafter(lo, hi) != hi:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if text(mid) == text(lo) else (lo, mid)
+    return lo, hi
+
+
 class TestMirrorFormatting:
     """caf.csv, prsl.csv, doppler.csv and the document's prsl_curve format
     each mirror pair of Doppler points once, when the pair's numbers are
@@ -502,6 +512,49 @@ class TestMirrorFormatting:
         # the class of the F rows whole, that of the G row by halves
         assert encoded == [(points, points), (points, points // 2 + 1)]
 
+    @pytest.mark.parametrize("points", [2, 3, 257, 1025, 8192])
+    def test_real_designs_plot_as_the_references(self, mirror_design, points, encoded):
+        pair, grid = generate_golay_pair(8), DopplerGrid(points)
+        caf = composite_ambiguity(mirror_design, pair, grid)
+        g, f = caf.basis
+        for ys in (prsl_curve(mirror_design, pair, f), magnitude_db(g)):
+            args = (grid.points, ys, "curve", "Doppler shift (rad/pulse)", "dB")
+            assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
+        assert svg_heatmap(caf, "CAF") == svg_heatmap_reference(caf, "CAF")
+        # each plot's y pixels were formatted from the theta <= 0 half
+        assert encoded == [(points, points // 2 + 1)] * 2
+
+    @pytest.mark.parametrize("points", [8, 9])
+    def test_plot_one_ulp_off_its_mirror(self, points, encoded):
+        # the curve spans -100..0 dB; one value and its mirror are adjacent
+        # doubles whose y pixels print differently at %.2f
+        grid = DopplerGrid(points)
+        z = grid.zero_index
+        ys = np.random.default_rng(points).uniform(-80.0, -10.0, points)
+        ys[z + 1:] = ys[2 * z + 1 - points: z][::-1]
+        ys[z - 1:z + 2] = -100.0, 0.0, -100.0
+        ph = _H - _MT - _MB
+        ys[z - 2], ys[z + 2] = text_step(lambda y: f"{_MT - y / 100.0 * ph:.2f}", -60.0, -50.0)
+        args = (grid.points, ys, "curve", "x", "dB")
+        assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
+        assert encoded == [(points, points)]
+
+    @pytest.mark.parametrize("points", [8, 9, 513])
+    def test_flat_and_clipped_plots(self, points, encoded):
+        # two flat curves (y1 == y0, one of them all below the floor) and a
+        # mirrored curve clipped at the floor, where a pair that differs
+        # below it is equal once clipped
+        grid = DopplerGrid(points)
+        z = grid.zero_index
+        clipped = np.random.default_rng(points).uniform(-140.0, 0.0, points)
+        clipped[z + 1:] = clipped[2 * z + 1 - points: z][::-1]
+        clipped[z - 1], clipped[z + 1] = -300.0, -300.0
+        clipped[z - 2], clipped[z + 2] = -200.0, -250.0
+        for ys in (np.full(points, -300.0), np.full(points, -12.5), clipped):
+            args = (grid.points, ys, "curve", "x", "dB")
+            assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
+        assert encoded == [(points, points // 2 + 1)] * 3
+
 
 class TestOpenOutput:
     @pytest.mark.parametrize("size", [3, 100_000], ids=["buffered", "past-the-buffer"])
@@ -536,6 +589,39 @@ class TestSvgFormat:
         grid = DopplerGrid(64)
         args = (grid.points, np.full(64, -300.0), "flat", "x", "y")
         assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
+
+    def test_line_plots_over_alternating_xs(self):
+        # two x arrays of one length, one uniform and one not, and a third of
+        # another length, alternated: an x text kept from an earlier plot
+        # would misplace the points
+        rng = np.random.default_rng(6)
+        xs = {"a": DopplerGrid(64).points, "b": np.geomspace(1.0, 5.0, 64), "c": DopplerGrid(65).points}
+        for key in "abacab":
+            ys = rng.uniform(-90.0, 0.0, len(xs[key]))
+            args = (xs[key], ys, key, "x", "y")
+            assert svg_line_plot(*args) == svg_line_plot_reference(*args, y_floor=-120.0)
+
+    def test_heatmap_rows_one_bit_apart(self):
+        # lags -2 and 2 scale F by adjacent doubles that put one cell on
+        # either side of a grey-level step, so their rows must be drawn
+        # apart; lags -1 and 1 negate them and share their texts
+        grid = DopplerGrid(8)
+        basis = np.array([np.zeros(8), np.linspace(0.125, 1.0, 8)]) + 0j
+        basis[0, grid.zero_index] = 1.0
+
+        def level(c):
+            db = magnitude_db(np.array([c]), ref=10.0)
+            return int(np.rint(255 * np.clip(db, -100.0, 0.0) / -100.0)[0])
+
+        lo, hi = text_step(level, 0.5, 5.0)
+        coefficients = np.array([[0.0, lo], [0.0, -lo], [10.0, 0.0], [0.0, -hi], [0.0, hi]])
+        caf = CafGrid(lags=np.arange(-2, 3), doppler=grid, coefficients=coefficients, basis=basis)
+        assert caf.peak == 10.0
+        svg = svg_heatmap(caf, "CAF")
+        assert svg == svg_heatmap_reference(caf, "CAF")
+        # the last column, where F = 1, of lags -2, -1, 1 and 2
+        fills = [line.split("fill=")[1] for line in svg.splitlines() if "rgb(" in line][7::8]
+        assert fills[0] == fills[1] != fills[3] == fills[4]
 
     def test_heatmap_with_a_partial_last_column(self):
         # 1001 Doppler points pool by a stride of 6 into 167 columns, the
