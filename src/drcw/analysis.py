@@ -230,11 +230,10 @@ def _run(ok: np.ndarray, i: int) -> tuple[int, int]:
     """Ends (lo, hi) of the run grown outward from index ``i`` while the
     next entry of the boolean mask ``ok`` on that side is True; ``ok[i]``
     itself is not read."""
-    lo = hi = i
-    while lo > 0 and ok[lo - 1]:
-        lo -= 1
-    while hi + 1 < len(ok) and ok[hi + 1]:
-        hi += 1
+    left = np.flatnonzero(~ok[:i])  # the False entries before i
+    right = np.flatnonzero(~ok[i + 1 :])  # and after it, counted from i + 1
+    lo = int(left[-1]) + 1 if left.size else 0
+    hi = i + int(right[0]) if right.size else len(ok) - 1
     return lo, hi
 
 

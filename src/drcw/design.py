@@ -16,7 +16,7 @@ The rounding normals depend only on (seed, trials, M), so from the moment
 a design's inputs are validated the one worker of the design's own
 executor (thread drcw-draws_0) draws them, one block per job, in order from
 one default_rng(seed) stream: the draw overlaps the basis, the form and the
-relaxation, runs ahead of the rounding's products by at most 1 MiB of
+relaxation, runs ahead of the rounding's products by at most 3 MiB of
 whole blocks, and gives bit-for-bit the result of one serial draw. The
 executor, shared with no other design or solve, is shut down on every exit.
 
@@ -46,9 +46,11 @@ RANK1_RATIO = 1e8
 _BLOCK_BYTES = 1 << 18
 _MIN_BLOCK_ROWS = 128
 # the draw holds at most this many bytes of blocks ahead, and at least
-# one block: 4 blocks at M=50, 2 at M=512. A longer lead overlaps little
-# more of an M=50 design and costs peak memory
-_LOOKAHEAD_BYTES = 1 << 20
+# one block: 12 blocks at M=50, 6 at M=512. An M=50 design with 10000
+# trials rounds 16 blocks. A lead of 4 (1 MiB) was drawn well before the
+# relaxation was solved, and the other 12 blocks after it, 0.6-1.4 ms
+# each on 2 vCPUs with one BLAS thread, while the rounding waited
+_LOOKAHEAD_BYTES = 3 << 20
 
 
 class DesignFailure(RuntimeError):
@@ -129,7 +131,7 @@ def round_solution(
     scored by one (block x M)(M x K) product on this thread.
 
     The blocks are drawn by the worker of a one-thread executor, which
-    starts before ``eigh`` and stays ahead of the products by at most 1 MiB
+    starts before ``eigh`` and stays ahead of the products by at most 3 MiB
     of whole blocks. ``draws`` holds that executor when the caller has
     already started the draw for (seed, trials, M), as ``design_nm_drcw``
     does; the executor is shut down on return or raise either way.

@@ -199,3 +199,14 @@ def null_moments(y, k0, nulls=()):
                 total = mpmath.fsum(s**p * yn * c for s, yn, c in zip(scaled, y, carrier))
                 out.append(float(abs(total)))
         return np.array(out)
+
+
+def run_walk(ok, i):
+    """Ends (lo, hi) of the run of True entries of ``ok`` grown outward from
+    index i, one entry at a time; ok[i] itself is not read."""
+    lo = hi = i
+    while lo > 0 and ok[lo - 1]:
+        lo -= 1
+    while hi + 1 < len(ok) and ok[hi + 1]:
+        hi += 1
+    return lo, hi

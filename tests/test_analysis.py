@@ -10,6 +10,7 @@ from drcw.analysis import (
     DB_FLOOR,
     CafGrid,
     DopplerGrid,
+    _run,
     composite_ambiguity,
     compute_metrics,
     dmbr,
@@ -23,7 +24,7 @@ from drcw.analysis import (
 from drcw.design import DesignResult, design_bd, design_nm_drcw, design_uniform
 from drcw.nullspec import NullSpec
 from drcw.sequences import generate_golay_pair, window_template
-from oracles import acf_direct, caf_triple_loop, doppler_factors_direct
+from oracles import acf_direct, caf_triple_loop, doppler_factors_direct, run_walk
 
 
 def random_design(rng, m):
@@ -241,6 +242,25 @@ class TestPrsl:
         live = curve > DB_FLOOR
         assert np.array_equal(vals > DB_FLOOR, live)
         assert np.allclose(vals[live], curve[live], atol=1e-9)
+
+
+class TestRun:
+    """_run against the walk one entry at a time."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.booleans(), min_size=1, max_size=40))
+    def test_random_masks(self, values):
+        mask = np.array(values)
+        for i in range(len(mask)):
+            assert _run(mask, i) == run_walk(mask, i), (mask, i)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 8192])
+    @pytest.mark.parametrize("fill", [True, False])
+    def test_uniform_masks(self, size, fill):
+        mask = np.full(size, fill)
+        for i in {0, size // 2, size - 1}:
+            assert _run(mask, i) == run_walk(mask, i)
+        assert _run(mask, 0) == ((0, size - 1) if fill else (0, 0))
 
 
 class TestRsba:

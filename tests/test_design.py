@@ -280,9 +280,9 @@ class RecordedDraws:
         return self.rng.standard_normal(*args, **kwargs)
 
 
-# the design every exit-path test repeats afterwards: 3000 trials at M=50
-# run past the draw thread's lead of 4 blocks and end in a partial block
-NEXT_DESIGN = (50, NullSpec(k0=20), "hamming", 3000, 5)
+# the design every exit-path test repeats afterwards: 8000 trials at M=50
+# run past the draw thread's lead of 12 blocks and end in a partial block
+NEXT_DESIGN = (50, NullSpec(k0=20), "hamming", 8000, 5)
 
 
 def next_design():
@@ -341,8 +341,8 @@ class TestDrawThread:
 
     @pytest.mark.parametrize("m", [50, 512])
     def test_lead_is_capped_in_whole_blocks(self, m):
-        # 4 blocks at M=50 and 2 at M=512 (1 MiB), however many trials
-        assert lead_blocks(m) == {50: 4, 512: 2}[m]
+        # 12 blocks at M=50 and 6 at M=512 (3 MiB), however many trials
+        assert lead_blocks(m) == {50: 12, 512: 6}[m]
         with design._Draws(0, 100 * block_rows(m), m) as draws:
 
             def drawn():
@@ -355,6 +355,11 @@ class TestDrawThread:
             assert drawn() == lead_blocks(m)
             assert len(draws._drawn) == lead_blocks(m)
         assert draw_threads() == []
+
+    def test_next_design_runs_past_the_lead_into_a_partial_block(self):
+        m, trials = NEXT_DESIGN[0], NEXT_DESIGN[3]
+        assert trials > lead_blocks(m) * block_rows(m)
+        assert trials % block_rows(m)
 
     def test_design_equals_rounding_with_the_plain_seed(self):
         m, spec, kind, trials, seed = NEXT_DESIGN
@@ -445,7 +450,8 @@ class TestDrawThread:
         "design-failure": (DesignFailure, lambda self, mp: self.raising(
             mp, "recover_amplitudes", DesignFailure("degenerate"))),
         "draw-fails-first": (ZeroDivisionError, lambda self, mp: self.draw_fails(mp, 1)),
-        "draw-fails-past-the-lead": (ZeroDivisionError, lambda self, mp: self.draw_fails(mp, 5)),
+        "draw-fails-past-the-lead": (ZeroDivisionError, lambda self, mp: self.draw_fails(
+            mp, lead_blocks(50) + 1)),
         "rank-one-shortcut": (None, lambda self, mp: self.rank_one(mp)),
     }
 
