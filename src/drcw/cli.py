@@ -99,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dump per-iteration solver objective and certified gap as CSV",
     )
     _add_design_options(p_design)
+    p_design.set_defaults(run=cmd_design)
 
     p_an = sub.add_parser("analyze", help="export CSV (and optional SVG) views of a design")
     p_an.add_argument("document", help="design document (JSON)")
@@ -107,6 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--grid", type=int, default=None, help="Doppler grid points (default: the document's grid)"
     )
+    p_an.set_defaults(run=cmd_analyze)
 
     p_tab = sub.add_parser("table", help="metric table over null orders and windows")
     p_tab.add_argument("--k0", required=True, help="comma-separated null orders, e.g. 10,15,20")
@@ -118,10 +120,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--format", choices=("csv", "md", "json"), default="md")
     p_tab.add_argument("-o", "--out", default=None, help="output path (default stdout)")
     _add_design_options(p_tab)
+    p_tab.set_defaults(run=cmd_table)
 
     p_ver = sub.add_parser("verify", help="check invariants of a pair length or document")
     p_ver.add_argument("document", nargs="?", help="design document to verify")
     p_ver.add_argument("--golay", type=int, default=None, metavar="N", help="verify a generated pair")
+    p_ver.set_defaults(run=cmd_verify)
     return parser
 
 
@@ -369,21 +373,14 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process; parse_args leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
+    parser = build_parser()
     try:
-        args = _parser().parse_args(argv)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    # looked up by name on each call, so a replaced cmd_* is the one run
-    run = globals()[f"cmd_{args.command}"]
     try:
-        return run(args)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

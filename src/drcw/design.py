@@ -17,7 +17,8 @@ a design's inputs are validated the one worker of the design's own
 executor (thread drcw-draws_0) draws them, one block per job, in order from
 one default_rng(seed) stream: the draw overlaps the basis, the form and the
 relaxation, runs ahead of the rounding's products by at most 3 MiB of
-whole blocks, and gives bit-for-bit the result of one serial draw. The
+whole blocks (1 MiB from M = 256, where the relaxation's own solve runs
+on two threads), and gives bit-for-bit the result of one serial draw. The
 executor, shared with no other design or solve, is shut down on every exit.
 
 Baselines: alternating order with binomial weights (order M-1 null at zero
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nullspec import NullSpec, constraint_basis, max_null_violation, quadratic_form
-from .sdp import SolverFailure, solve_partition_sdp
+from .sdp import _PAIRED_MIN, SolverFailure, solve_partition_sdp
 from .sequences import WindowTemplate, binomial_weights, ptm_order
 
 
@@ -46,11 +47,16 @@ RANK1_RATIO = 1e8
 _BLOCK_BYTES = 1 << 18
 _MIN_BLOCK_ROWS = 128
 # the draw holds at most this many bytes of blocks ahead, and at least
-# one block: 12 blocks at M=50, 6 at M=512. An M=50 design with 10000
-# trials rounds 16 blocks. A lead of 4 (1 MiB) was drawn well before the
-# relaxation was solved, and the other 12 blocks after it, 0.6-1.4 ms
-# each on 2 vCPUs with one BLAS thread, while the rounding waited
+# one block: 12 blocks at M=50. An M=50 design with 10000 trials rounds
+# 16 blocks. A lead of 4 (1 MiB) was drawn well before the relaxation was
+# solved, and the other 12 blocks after it, 0.6-1.4 ms each on 2 vCPUs
+# with one BLAS thread, while the rounding waited; a lead of 8 (2 MiB)
+# left the M=50 paper table as slow as 4 did
 _LOOKAHEAD_BYTES = 3 << 20
+# from M = 2 * _PAIRED_MIN the solve itself runs on both cores, and the
+# lead stays at 1 MiB (2 blocks at M=512): 3 MiB made M=256 and M=512
+# designs 1.8 % slower on 2 vCPUs and raised their peak memory by 2 MB
+_PAIRED_LOOKAHEAD_BYTES = 1 << 20
 
 
 class DesignFailure(RuntimeError):
@@ -66,14 +72,16 @@ class _Draws:
     """The rounding normals of (seed, trials, M), the rows of one
     (trials, M) draw from default_rng(seed), drawn in blocks of ``rows``
     rows by the worker of a one-thread executor of their own. At most
-    _LOOKAHEAD_BYTES of blocks (at least one) are drawn or queued ahead of
-    ``take``; ``give_back`` queues the next block into a returned one. Use
-    the object as a context manager: its exit cancels the queued blocks and
-    waits for the one being drawn, on every exit path."""
+    _LOOKAHEAD_BYTES of blocks (_PAIRED_LOOKAHEAD_BYTES from M = 256; at
+    least one block) are drawn or queued ahead of ``take``; ``give_back``
+    queues the next block into a returned one. Use the object as a context
+    manager: its exit cancels the queued blocks and waits for the one being
+    drawn, on every exit path."""
 
     def __init__(self, seed: int, trials: int, m: int):
         self.rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * m))
-        lead = max(1, _LOOKAHEAD_BYTES // (8 * self.rows * m))
+        lead_bytes = _LOOKAHEAD_BYTES if m < 2 * _PAIRED_MIN else _PAIRED_LOOKAHEAD_BYTES
+        lead = max(1, lead_bytes // (8 * self.rows * m))
         self._rng = np.random.default_rng(seed)
         self._sizes = (min(self.rows, trials - s) for s in range(0, trials, self.rows))
         self._drawn = deque()
@@ -132,9 +140,10 @@ def round_solution(
 
     The blocks are drawn by the worker of a one-thread executor, which
     starts before ``eigh`` and stays ahead of the products by at most 3 MiB
-    of whole blocks. ``draws`` holds that executor when the caller has
-    already started the draw for (seed, trials, M), as ``design_nm_drcw``
-    does; the executor is shut down on return or raise either way.
+    of whole blocks, 1 MiB from M = 256. ``draws`` holds that executor when
+    the caller has already started the draw for (seed, trials, M), as
+    ``design_nm_drcw`` does; the executor is shut down on return or raise
+    either way.
 
     The pick is the first maximum of the computed score, lowest trial index
     first. s and -s, and for persymmetric forms the reversals Js and -Js,

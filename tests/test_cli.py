@@ -3,14 +3,12 @@ import math
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import drcw
-from drcw import cli
 from drcw import document as doc_io
 from drcw.cli import main, parse_angle, parse_null
 
@@ -653,65 +651,6 @@ class TestMalformedDocument:
         record[last][0] = value
         assert self.run_on(doc, command, tmp_path) == 2
         assert f"field '{field}'" in capsys.readouterr().err
-
-
-class TestCachedParser:
-    """main builds its parser once per process and looks up cmd_<command>
-    by name on every call."""
-
-    ARGV = ["design", "nm", "--m", "16", "--k0", "3", "--window", "hamming",
-            "--trials", "200", "--grid", "512"]
-
-    def design(self, out):
-        assert main([*self.ARGV, "-o", str(out)]) == 0
-        return out.read_bytes()
-
-    def test_parser_built_once_and_documents_identical(self, tmp_path, monkeypatch):
-        built = []
-        build = cli.build_parser
-
-        def spy():
-            built.append(1)
-            return build()
-
-        monkeypatch.setattr(cli, "build_parser", spy)
-        cli._parser.cache_clear()
-        first = self.design(tmp_path / "a.json")
-        second = self.design(tmp_path / "b.json")
-        assert first == second
-        assert built == [1]
-
-    def test_command_patched_after_a_call_runs(self, tmp_path, monkeypatch):
-        self.design(tmp_path / "a.json")
-        seen = []
-
-        def patched(args):
-            seen.append(args.out)
-            return 7
-
-        monkeypatch.setattr(cli, "cmd_design", patched)
-        assert main([*self.ARGV, "-o", str(tmp_path / "b.json")]) == 7
-        assert seen == [str(tmp_path / "b.json")]
-        assert not (tmp_path / "b.json").exists()
-
-    def test_three_threads_at_once(self, tmp_path):
-        reference = self.design(tmp_path / "serial.json")
-        cli._parser.cache_clear()  # the threads race to build it, too
-        start = threading.Barrier(3)
-        codes = {}
-
-        def run(i):
-            start.wait()
-            codes[i] = main([*self.ARGV, "-o", str(tmp_path / f"t{i}.json")])
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(3)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert codes == {0: 0, 1: 0, 2: 0}
-        for i in range(3):
-            assert (tmp_path / f"t{i}.json").read_bytes() == reference
 
 
 class TestSubprocessEntry:

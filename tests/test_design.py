@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import drcw
-from drcw import design
+from drcw import design, sdp
 from drcw.design import (
     _BLOCK_BYTES,
     _LOOKAHEAD_BYTES,
     _MIN_BLOCK_ROWS,
+    _PAIRED_LOOKAHEAD_BYTES,
     DesignFailure,
     design_bd,
     design_nm_drcw,
@@ -259,7 +260,8 @@ def draw_threads():
 
 def lead_blocks(m):
     """Blocks the draw thread may hold at M = m."""
-    return max(1, _LOOKAHEAD_BYTES // (8 * block_rows(m) * m))
+    lead_bytes = _LOOKAHEAD_BYTES if m < 2 * sdp._PAIRED_MIN else _PAIRED_LOOKAHEAD_BYTES
+    return max(1, lead_bytes // (8 * block_rows(m) * m))
 
 
 # the real one, for the tests that patch numpy's
@@ -315,7 +317,7 @@ def design_bytes(result):
 
 class TestDrawThread:
     """The rounding normals are drawn on a thread of their own, from the
-    design's validated inputs on, at most _LOOKAHEAD_BYTES of blocks ahead."""
+    design's validated inputs on, at most lead_blocks(M) blocks ahead."""
 
     @pytest.mark.parametrize("m", [50, 51, 256, 512])
     @pytest.mark.parametrize("case", ["one", "rows-1", "rows", "rows+1", "past-the-lead"])
@@ -339,10 +341,11 @@ class TestDrawThread:
             assert rounded.objective == best_score, seed
         assert draw_threads() == []
 
-    @pytest.mark.parametrize("m", [50, 512])
+    @pytest.mark.parametrize("m", [50, 255, 256, 512])
     def test_lead_is_capped_in_whole_blocks(self, m):
-        # 12 blocks at M=50 and 6 at M=512 (3 MiB), however many trials
-        assert lead_blocks(m) == {50: 12, 512: 6}[m]
+        # 3 MiB below M=256, where the solve runs on one thread, and 1 MiB
+        # from there on, however many trials
+        assert lead_blocks(m) == {50: 12, 255: 12, 256: 4, 512: 2}[m]
         with design._Draws(0, 100 * block_rows(m), m) as draws:
 
             def drawn():
