@@ -37,17 +37,20 @@ Each centering step costs one Cholesky factor L per block, shared by the
 step-length test (which halves the trial step alpha until every block of
 Z(alpha) factors) and by Z_b^{-1} = L^{-T} L^{-1}, which is formed from L
 with matrix products once every block has factored; plus one ceil(M/2)
-solve for the Newton direction. When both blocks have at least
-_PAIRED_MIN = 128 rows (M >= 256), the one worker of the solve's own
-ThreadPoolExecutor (thread drcw-sdp_0) factors Z_-(alpha) while the calling
-thread factors Z_+(alpha), and then forms Z_-^{-1} while the calling thread
-forms Z_+^{-1}. Below that size the hand-over costs more than the overlap
-saves: all the work stays on the calling thread, and the executor, which
-starts its worker on its first job, starts none. No helper is shared
-between solves, and the executor is shut down on every exit of its solve. A
-block's work is the same operations in the same order on either thread,
-and the blocks share nothing they write, so the solve's results are
-bit-for-bit those of a one-thread solve.
+solve for the Newton direction. The blocks are held as stacks of equal-size
+blocks (one stack of two at even M, a stack of one each at odd M or for a
+one-block form), and each stage is one numpy call per stack, which LAPACK
+and BLAS run block by block, bit-for-bit as a call on the block alone. When
+both blocks have at least _PAIRED_MIN = 128 rows (M >= 256), the one worker
+of the solve's own ThreadPoolExecutor (thread drcw-sdp_0) takes A_-'s
+eigenvalues for the start values, factors Z_-(alpha) and forms Z_-^{-1}
+while the calling thread does the same for A_+. Below that size the
+hand-over costs more than the overlap saves: all the work stays on the
+calling thread, and the executor, which starts its worker on its first job,
+starts none. No helper is shared between solves, and the executor is shut
+down on every exit of its solve. A block's work is the same operations in
+the same order on either thread, and the blocks share nothing they write,
+so the solve's results are bit-for-bit those of a one-thread solve.
 Two O(M) certificates rule out a trial step before it is factored, since
 each shows Z(alpha) indefinite: a non-positive diagonal entry of a block of
 Z(alpha), which bounds every Cholesky pivot of that block, and a
@@ -109,35 +112,35 @@ _PAIRED_MIN = 128
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of the lower-triangular L by recursive 2 x 2 blocks:
+    """Inverse of the lower-triangular L, or of each of a stack, by recursive 2 x 2 blocks:
     [[A, 0], [B, C]]^{-1} = [[A^{-1}, 0], [-C^{-1} (B A^{-1}), C^{-1}]],
     so all but the base blocks' work is matrix products."""
-    m = L.shape[0]
+    m = L.shape[-1]
     if m <= _BASE_BLOCK:
         return np.linalg.inv(L)
     h = m // 2
-    a_inv = _lower_inverse(L[:h, :h])
-    c_inv = _lower_inverse(L[h:, h:])
+    a_inv = _lower_inverse(L[..., :h, :h])
+    c_inv = _lower_inverse(L[..., h:, h:])
     out = np.zeros_like(L)
-    out[:h, :h] = a_inv
-    out[h:, h:] = c_inv
-    out[h:, :h] = -c_inv @ (L[h:, :h] @ a_inv)
+    out[..., :h, :h] = a_inv
+    out[..., h:, h:] = c_inv
+    out[..., h:, :h] = -c_inv @ (L[..., h:, :h] @ a_inv)
     return out
 
 
 def _inverse_from_cholesky(L: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Z^{-1} = L^{-T} L^{-1} for the Cholesky factor L of a positive
-    definite Z = L L^T, written into ``out`` if given."""
+    """Z^{-1} = L^{-T} L^{-1} for the Cholesky factor L (or each of a stack)
+    of a positive definite Z = L L^T, written into ``out`` if given."""
     l_inv = _lower_inverse(L)
-    return np.matmul(l_inv.T, l_inv, out=out)
+    return np.matmul(l_inv.swapaxes(-1, -2), l_inv, out=out)
 
 
-def _certificates_pass(z_diag: np.ndarray, zinv_min: float, step: float, t: float) -> bool:
+def _certificates_pass(z_diags: list, zinv_min: float, step: float, t: float) -> bool:
     """False if a certificate of the module docstring shows the trial
-    Z(step) indefinite: ``z_diag`` is its diagonal, ``zinv_min`` is
-    min_i Z^{-1}_ii at the current Z, and ``t`` is the barrier parameter of
-    the Newton equation that gave the step direction."""
-    return bool(np.min(z_diag) > 0 and (1.0 + step) * zinv_min > step * t)
+    Z(step) indefinite: ``z_diags`` are its stacks' diagonals, ``zinv_min``
+    is min_i Z^{-1}_ii at the current Z, and ``t`` is the barrier parameter
+    of the Newton equation that gave the step direction."""
+    return (1.0 + step) * zinv_min > step * t and all(d.min() > 0 for d in z_diags)
 
 
 def _reversal_blocks(a: np.ndarray) -> list[np.ndarray]:
@@ -182,15 +185,18 @@ def _join(blocks: list[np.ndarray], m: int) -> np.ndarray:
 
 
 def _blocks(an: np.ndarray) -> tuple[list[np.ndarray], float]:
-    """The blocks the solve runs in, largest first, and the widening of
-    the normalized bound that makes it certified for ``an``: the reversal
-    blocks of the reversal average if ``an`` is reversal-symmetric to
-    _SYMMETRY_TOL, else ``an`` alone."""
+    """The blocks the solve runs in, largest first, in stacks of equal-size
+    blocks, and the widening of the normalized bound that makes it certified
+    for ``an``: the reversal blocks of the reversal average if ``an`` is
+    reversal-symmetric to _SYMMETRY_TOL, else ``an`` alone."""
     flipped = an[::-1, ::-1]
     drift = float(np.linalg.norm(an - flipped))
     if drift > _SYMMETRY_TOL:
-        return [an], 0.0
-    return _reversal_blocks((an + flipped) / 2.0), an.shape[0] * drift / 2.0
+        return [an[np.newaxis]], 0.0
+    blocks = _reversal_blocks((an + flipped) / 2.0)
+    odd = blocks[0].shape != blocks[-1].shape
+    stacks = [b[np.newaxis] for b in blocks] if odd else [np.stack(blocks)]
+    return stacks, an.shape[0] * drift / 2.0
 
 
 def _padded_sum(parts: list[np.ndarray]) -> np.ndarray:
@@ -202,18 +208,30 @@ def _padded_sum(parts: list[np.ndarray]) -> np.ndarray:
     return total
 
 
-def _diagonal(blocks: list[np.ndarray]) -> np.ndarray:
-    """The blocks' diagonals summed, zero-padded: c_i times the i-th
-    diagonal entry of the M x M matrix they make up."""
-    return _padded_sum([np.diag(b).copy() for b in blocks])
+def _diagonal(stacks: list[np.ndarray]) -> np.ndarray:
+    """The diagonals of the stacks' blocks summed, zero-padded: c_i times
+    the i-th diagonal entry of the M x M matrix they make up."""
+    return _padded_sum([w.diagonal(0, -2, -1).sum(0) for w in stacks])
+
+
+def _inner(stacks: list[np.ndarray], others: list[np.ndarray]) -> float:
+    """tr(A B) from the stacks of blocks of A and B, one block at a time."""
+    return sum(float(np.vdot(a, b)) for sa, sb in zip(stacks, others) for a, b in zip(sa, sb))
+
+
+def _paired(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
+    """The two blocks, if both have _PAIRED_MIN rows or more; else None."""
+    if sum(map(len, stacks)) < 2 or stacks[-1].shape[-1] < _PAIRED_MIN:
+        return None
+    return [b for s in stacks for b in s]
 
 
 def _block_factor(b: np.ndarray, u: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor of the block Z_b = Diag(u) - b, or None if Z_b is
-    not positive definite."""
-    k = b.shape[0]
+    """The Cholesky factor of Z_b = Diag(u) - b for the block, or each block
+    of the stack, b, or None if one Z_b is not positive definite."""
+    k = b.shape[-1]
     z = -b
-    z.flat[:: k + 1] += u[:k]
+    z.reshape(-1, k * k)[:, :: k + 1] += u[:k]
     try:
         return np.linalg.cholesky(z)
     except np.linalg.LinAlgError:
@@ -232,27 +250,30 @@ def _on_two_threads(pool, fn, here: tuple, there: tuple) -> list:
     return [first, second]
 
 
-def _inverses(pool, blocks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray] | None:
-    """The blocks of Z^{-1} for Z = Diag(u) - A_tilde, or None if a block of
-    Z is not positive definite. Every block is factored before any is
-    inverted, so a trial step that fails costs no inverse. Two blocks of at
-    least _PAIRED_MIN rows are factored, then inverted, on this thread and
-    the thread of the one-worker ``pool``; otherwise the blocks are factored
-    in order on this thread, and the first that fails ends the test."""
-    if len(blocks) < 2 or blocks[1].shape[0] < _PAIRED_MIN:
+def _inverses(pool, stacks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray] | None:
+    """The stacks of blocks of Z^{-1} for Z = Diag(u) - A_tilde, or None if
+    a block of Z is not positive definite. Every block is factored before
+    any is inverted, so a trial step that fails costs no inverse. Two blocks
+    of at least _PAIRED_MIN rows are factored, then inverted, on this thread
+    and the thread of the one-worker ``pool``; otherwise the stacks are, one
+    call each, in order on this thread, and the first that fails ends it."""
+    blocks = _paired(stacks)
+    if blocks is None:
         factors = []
-        for b in blocks:
-            factors.append(_block_factor(b, u))
+        for s in stacks:
+            factors.append(_block_factor(s, u))
             if factors[-1] is None:
                 return None
         return [_inverse_from_cholesky(L) for L in factors]
     factors = _on_two_threads(pool, _block_factor, (blocks[0], u), (blocks[1], u))
     if any(L is None for L in factors):
         return None
-    # Z_-^{-1} outlives the step, so this thread allocates it: what the
+    # the inverses outlive the step, so this thread allocates them: what the
     # pool's thread allocates is freed within the step, so its heap stays small
-    out = np.empty_like(factors[1])
-    return _on_two_threads(pool, _inverse_from_cholesky, (factors[0],), (factors[1], out))
+    out = [np.empty_like(s) for s in stacks]
+    here, there = [w for s in out for w in s]
+    _on_two_threads(pool, _inverse_from_cholesky, (factors[0], here), (factors[1], there))
+    return out
 
 
 def solve_partition_sdp(
@@ -280,11 +301,11 @@ def solve_partition_sdp(
     inputs produce identical outputs.
 
     Each Newton step costs one ceil(M/2) solve (M for a form that is not
-    reversal-symmetric) and one Cholesky factor per block of
-    Z = Diag(y) - A_tilde at the accepted step, from which the blocks of
-    Z^{-1} are formed; from M = 256 the two blocks' work runs on two
-    threads, this one and the worker of an executor of this solve's own,
-    which is shut down when the solve returns or raises. A trial step is
+    reversal-symmetric) and one Cholesky factor per stack of equal-size
+    blocks of Z = Diag(y) - A_tilde (one stack at even M, two at odd M) at
+    the accepted step, from which Z^{-1} is formed; from M = 256 the two
+    blocks' work runs on two threads, this one and the worker of an executor
+    of this solve's own, which is shut down when the solve returns or raises. A trial step is
     factored only if neither O(M) certificate (the blocks' diagonals there,
     and Z's quadratic form there along each column of the current Z^{-1})
     shows it indefinite; the factorization alone accepts a step.
@@ -307,49 +328,52 @@ def solve_partition_sdp(
         return SdpSolution(s, 0.0, 0.0, res, iterations=0, converged=True)
 
     # normalized problem: exact scale equivariance of the whole solve
-    blocks, shift = _blocks((A + A.T) / (2.0 * norm))
-    sizes = [b.shape[0] for b in blocks]
+    stacks, shift = _blocks((A + A.T) / (2.0 * norm))
     # c_i: the entries of y that u_i stands for
-    c = _padded_sum([np.ones(k) for k in sizes])
-    # the blocks' diagonals in a row, and the entry of u each one goes with
-    block_diag = np.concatenate([np.diag(b) for b in blocks])
-    block_index = np.concatenate([np.arange(k) for k in sizes])
-    lam = [np.linalg.eigvalsh(b) for b in blocks]
-    lam_min = min(float(v[0]) for v in lam)
-    lam_max = max(float(v[-1]) for v in lam)
-    spectral = max(abs(lam_min), abs(lam_max))
-    scale = spectral * M  # problem-size proxy, invariant under rescaling
-
-    u = (lam_max + 1.0) * np.ones(sizes[0])
-    t = 1.0 / spectral
-    mu = 20.0
-    iterations = 0
-    trace_rows: list[tuple[int, float, float, float]] = []
-    X = [np.eye(k) for k in sizes]
-    gap = np.inf
-    pobj = 0.0
-    dobj = float(c @ u)
-
+    c = _padded_sum([np.full(s.shape[-1], float(len(s))) for s in stacks])
+    # each stack's diagonals, and how many entries of u they go with
+    stack_diags = [(s.shape[-1], np.diagonal(s, axis1=-2, axis2=-1)) for s in stacks]
     exhausted = False
     with ThreadPoolExecutor(1, thread_name_prefix="drcw-sdp") as pool:
-        inverses = _inverses(pool, blocks, u)
+        pair = _paired(stacks)
+        if pair is None:
+            lam = [np.linalg.eigvalsh(s) for s in stacks]
+        else:
+            lam = _on_two_threads(pool, np.linalg.eigvalsh, pair[:1], pair[1:])
+        lam_min = min(float(np.min(v[..., 0])) for v in lam)
+        lam_max = max(float(np.max(v[..., -1])) for v in lam)
+        spectral = max(abs(lam_min), abs(lam_max))
+        scale = spectral * M  # problem-size proxy, invariant under rescaling
+
+        u = (lam_max + 1.0) * np.ones(len(c))
+        t = 1.0 / spectral
+        mu = 20.0
+        iterations = 0
+        trace_rows: list[tuple[int, float, float, float]] = []
+        X = [np.broadcast_to(np.eye(s.shape[-1]), s.shape) for s in stacks]
+        gap = np.inf
+        pobj = 0.0
+        dobj = float(c @ u)
+
+        inverses = _inverses(pool, stacks, u)
         zinv_diag = _diagonal(inverses)
         for _stage in range(120):
             # Newton centering at the current t
             for _ in range(80):
                 g = t * c - zinv_diag
-                H = _padded_sum([w * w for w in inverses])
+                H = _padded_sum([(w * w).sum(0) for w in inverses])
                 try:
                     du = -np.linalg.solve(H, g)
                 except np.linalg.LinAlgError:
-                    du = -np.linalg.solve(H + 1e-14 * np.eye(sizes[0]), g)
+                    du = -np.linalg.solve(H + 1e-14 * np.eye(len(c)), g)
                 decrement2 = float(-g @ du)
-                zinv_min = float(np.min(zinv_diag / c))
+                zinv_min = float((zinv_diag / c).min())
                 step = 1.0
                 for _bt in range(70):
                     u_trial = u + step * du
-                    if _certificates_pass(u_trial[block_index] - block_diag, zinv_min, step, t):
-                        trial = _inverses(pool, blocks, u_trial)
+                    z_diags = [u_trial[:k] - d for k, d in stack_diags]
+                    if _certificates_pass(z_diags, zinv_min, step, t):
+                        trial = _inverses(pool, stacks, u_trial)
                         if trial is not None:
                             inverses = trial
                             break
@@ -367,7 +391,7 @@ def solve_partition_sdp(
                     # the trace only observes: its values reach the iterate state
                     # (and so the stopping test) only where an untraced solve
                     # would compute them too
-                    pobj_i = sum(float(np.vdot(b, w)) for b, w in zip(blocks, inverses)) / t
+                    pobj_i = _inner(stacks, inverses) / t
                     dobj_i = float(c @ u)
                     if collect_trace:
                         diag_res = float(np.max(np.abs(zinv_diag / (c * t) - 1.0)))
@@ -389,12 +413,12 @@ def solve_partition_sdp(
     # each block by its leading corner
     d = _diagonal(X) / c
     dm = 1.0 / np.sqrt(d)
-    X = [x * np.outer(dm[: len(x)], dm[: len(x)]) for x in X]
-    pobj = sum(float(np.vdot(b, x)) for b, x in zip(blocks, X))
+    X = [x * np.outer(dm[: x.shape[-1]], dm[: x.shape[-1]]) for x in X]
+    pobj = _inner(stacks, X)
     dobj += shift
     gap = dobj - pobj
 
-    S = _join(X, M)
+    S = _join([x for stack in X for x in stack], M)
     np.fill_diagonal(S, 1.0)
     objective = pobj * norm
     dual_bound = dobj * norm

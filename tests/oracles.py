@@ -210,3 +210,40 @@ def run_walk(ok, i):
     while hi + 1 < len(ok) and ok[hi + 1]:
         hi += 1
     return lo, hi
+
+
+def inverses_per_block(blocks, u, base_block=64):
+    """Z_b^{-1} for each Z_b = Diag(u[:k]) - b, one block at a time: every
+    block's Cholesky factor L first, then each L^{-1} by recursive 2 x 2
+    blocks down to LAPACK inverses of at most ``base_block`` rows, then
+    L^{-T} L^{-1}. None, with nothing inverted, if a Z_b is not positive
+    definite. The same operations as the solver's step, called once per
+    block, so the solver's results must equal these bit for bit."""
+    factors = []
+    for b in blocks:
+        k = b.shape[0]
+        z = -b
+        z.flat[:: k + 1] += u[:k]
+        try:
+            factors.append(np.linalg.cholesky(z))
+        except np.linalg.LinAlgError:
+            return None
+
+    def lower_inverse(L):
+        m = L.shape[0]
+        if m <= base_block:
+            return np.linalg.inv(L)
+        h = m // 2
+        a_inv = lower_inverse(L[:h, :h])
+        c_inv = lower_inverse(L[h:, h:])
+        out = np.zeros_like(L)
+        out[:h, :h] = a_inv
+        out[h:, h:] = c_inv
+        out[h:, :h] = -c_inv @ (L[h:, :h] @ a_inv)
+        return out
+
+    inverses = []
+    for L in factors:
+        l_inv = lower_inverse(L)
+        inverses.append(l_inv.T @ l_inv)
+    return inverses

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drcw import sdp
@@ -20,7 +20,7 @@ from drcw.sdp import (
     solve_partition_sdp,
 )
 from drcw.sequences import window_template
-from oracles import brute_force_partition_max
+from oracles import brute_force_partition_max, inverses_per_block
 
 
 def random_instance(rng, m):
@@ -190,7 +190,8 @@ class TestReversalBlocks:
         monkeypatch.setattr(np.linalg, "cholesky", spy)
         sol = solve_partition_sdp(form)
         monkeypatch.undo()
-        assert set(shapes) == {(m, m)}
+        # a stack of one block, the whole form
+        assert set(shapes) == {(1, m, m)}
         assert sol.converged
         assert np.array_equal(np.diag(sol.s_matrix), np.ones(m))
         assert np.linalg.eigvalsh(sol.s_matrix)[0] > 0
@@ -242,6 +243,107 @@ class TestCholeskyInverse:
         assert blocked <= 10 * lapack
 
 
+class LinalgCalls:
+    """Counts the calls of ``np.linalg.<name>`` for each name while active,
+    with the calling thread's name and the argument's shape."""
+
+    def __init__(self, *names):
+        self.calls = {name: [] for name in names}
+
+    def __enter__(self):
+        self.saved = {name: getattr(np.linalg, name) for name in self.calls}
+        for name, fn in self.saved.items():
+            setattr(np.linalg, name, self.wrap(fn, self.calls[name]))
+        return self
+
+    def __exit__(self, *exc):
+        for name, fn in self.saved.items():
+            setattr(np.linalg, name, fn)
+
+    @staticmethod
+    def wrap(fn, log):
+        def call(a, *args, **kwargs):
+            log.append((threading.current_thread().name, a.shape))
+            return fn(a, *args, **kwargs)
+
+        return call
+
+
+class TestStackedStep:
+    """Each stage of a step runs once per stack of equal-size blocks, and
+    gives bit for bit what one block at a time gives."""
+
+    LAYOUTS = {"even": lambda k: [k, k], "odd": lambda k: [k + 1, k], "single": lambda k: [k]}
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=130),
+        st.sampled_from(sorted(LAYOUTS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([None, 0, 1]),
+    )
+    @example(64, "even", 0, None)  # the largest LAPACK base block
+    @example(65, "even", 1, None)  # the smallest recursive one
+    @example(64, "odd", 2, None)  # a stack of 65 and a stack of 64
+    @example(65, "single", 3, 0)
+    @example(128, "even", 4, 1)  # two blocks of _PAIRED_MIN rows, one not PD
+    @example(130, "odd", 5, None)
+    def test_matches_one_block_at_a_time(self, k, layout, seed, failing):
+        rng = np.random.default_rng(seed)
+        sizes = self.LAYOUTS[layout](k)
+        blocks = []
+        for n in sizes:
+            g = rng.standard_normal((n, n))
+            blocks.append((g + g.T) / np.sqrt(n))
+        top = max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
+        u = top + rng.uniform(0.01, 1.0, sizes[0])
+        if failing is not None and failing < len(blocks):
+            # a rank-one bump that leaves one eigenvalue of Z_b negative
+            v = rng.standard_normal(sizes[failing])
+            blocks[failing] += (float(np.max(u)) + 1.0) * np.outer(v, v) / (v @ v)
+        stacks = [np.stack(blocks)] if layout == "even" else [b[np.newaxis] for b in blocks]
+        expected = inverses_per_block(blocks, u)
+        with ThreadPoolExecutor(1) as pool, LinalgCalls("inv") as counted:
+            got = sdp._inverses(pool, stacks, u)
+        if expected is None:
+            assert got is None
+            assert counted.calls["inv"] == []
+        else:
+            assert [w.shape for w in got] == [s.shape for s in stacks]
+            assert [w.tobytes() for s in got for w in s] == [w.tobytes() for w in expected]
+
+    @pytest.mark.parametrize("m,stacks", [(50, 1), (51, 2)])
+    def test_one_call_per_stack_and_stage(self, monkeypatch, m, stacks):
+        # per call of the step's factor-then-invert: whether it returned the
+        # inverses, and the cholesky and inv calls it made
+        steps = []
+        inverses = sdp._inverses
+
+        def counted_inverses(*args):
+            before = {name: len(log) for name, log in counted.calls.items()}
+            out = inverses(*args)
+            made = [len(counted.calls[name]) - before[name] for name in ("cholesky", "inv")]
+            steps.append((out is not None, *made))
+            return out
+
+        monkeypatch.setattr(sdp, "_inverses", counted_inverses)
+        with LinalgCalls("cholesky", "inv", "eigvalsh") as counted:
+            sol = solve_partition_sdp(hamming_form(m, NullSpec(k0=20)))
+        assert sol.converged
+        accepted = [made for ok, *made in steps if ok]
+        rejected = [made for ok, *made in steps if not ok]
+        # the start, then one per accepted step
+        assert len(accepted) == sol.iterations + 1
+        assert accepted == [[stacks, stacks]] * len(accepted)
+        # a rejected trial factors no more than every stack and inverts nothing
+        assert all(1 <= chol <= stacks and inv == 0 for chol, inv in rejected)
+        # and nothing else factors or inverts; the start values take one
+        # eigvalsh call per stack
+        assert len(counted.calls["cholesky"]) == sum(chol for _, chol, _ in steps)
+        assert len(counted.calls["inv"]) == stacks * len(accepted)
+        assert len(counted.calls["eigvalsh"]) == stacks
+
+
 class TestStepCertificates:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -263,7 +365,7 @@ class TestStepCertificates:
         zinv_min = float(np.min(np.diag(z_inv)))
         for k in range(11):
             step = 0.5**k
-            if not _certificates_pass(np.diag(z) + step * dy, zinv_min, step, t):
+            if not _certificates_pass([np.diag(z) + step * dy], zinv_min, step, t):
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.cholesky(z + step * np.diag(dy))
 
@@ -380,7 +482,7 @@ class TestPairedBlocks:
             return out
 
         def counted_inverse(L, *out):
-            inverted.append(L.shape)
+            inverted.append(L.size // L.shape[-1] ** 2)  # blocks in L
             return inverse(L, *out)
 
         monkeypatch.setattr(sdp, "_PAIRED_MIN", paired_min)
@@ -388,8 +490,8 @@ class TestPairedBlocks:
         monkeypatch.setattr(sdp, "_inverse_from_cholesky", counted_inverse)
         solve_partition_sdp(form, max_iter=150)
         assert trials.count(False) > 0
-        # two inverses for each trial whose blocks all factored, none else
-        assert len(inverted) == 2 * trials.count(True)
+        # two block inverses for each trial whose blocks all factored, none else
+        assert sum(inverted) == 2 * trials.count(True)
 
     @pytest.mark.parametrize(
         "m,spec,paired",
@@ -405,6 +507,22 @@ class TestPairedBlocks:
         # M=255 has an A- block of 127 rows, one short of _PAIRED_MIN
         _, on_helper = self.solve(monkeypatch, hamming_form(m, spec), sdp._PAIRED_MIN)
         assert bool(on_helper) == paired
+
+    @pytest.mark.parametrize(
+        "m,expected",
+        [
+            (50, [("main", (2, 25, 25))]),
+            (255, [("main", (1, 128, 128)), ("main", (1, 127, 127))]),
+            (256, [("main", (128, 128)), ("helper", (128, 128))]),
+            (257, [("main", (129, 129)), ("helper", (128, 128))]),
+        ],
+    )
+    def test_start_values_take_one_call_per_stack_or_two_threads(self, m, expected):
+        with LinalgCalls("eigvalsh") as counted:
+            solve_partition_sdp(hamming_form(m, NullSpec(k0=8)), max_iter=1)
+        main = threading.main_thread().name
+        calls = [("main" if name == main else "helper", shape) for name, shape in counted.calls["eigvalsh"]]
+        assert sorted(calls) == sorted(expected)
 
     @pytest.mark.parametrize("name", ["_block_factor", "_inverse_from_cholesky"])
     @pytest.mark.parametrize("failing_on_helper", [True, False])
@@ -577,8 +695,9 @@ class TestErrorHandling:
         assert traced.s_matrix.tobytes() == plain.s_matrix.tobytes()
         assert traced.converged == plain.converged
         assert len(traced.trace) == traced.iterations
-        # the initial pair of block inverses, then one pair per iterate
-        assert [w.shape for w in inverses] == [(26, 26), (25, 25)] * (traced.iterations + 1)
+        # the initial pair of block inverses, then one pair per iterate, each
+        # a stack of one
+        assert [w.shape for w in inverses] == [(1, 26, 26), (1, 25, 25)] * (traced.iterations + 1)
         q = reversal_basis(m)
         for (it, pobj, _gap, diag_res), plus, minus in zip(
             traced.trace, inverses[2::2], inverses[3::2]
