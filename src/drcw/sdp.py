@@ -42,15 +42,15 @@ blocks (one stack of two at even M, a stack of one each at odd M or for a
 one-block form), and each stage is one numpy call per stack, which LAPACK
 and BLAS run block by block, bit-for-bit as a call on the block alone. When
 both blocks have at least _PAIRED_MIN = 128 rows (M >= 256), the one worker
-of the solve's own ThreadPoolExecutor (thread drcw-sdp_0) takes A_-'s
-eigenvalues for the start values, factors Z_-(alpha) and forms Z_-^{-1}
-while the calling thread does the same for A_+. Below that size the
-hand-over costs more than the overlap saves: all the work stays on the
-calling thread, and the executor, which starts its worker on its first job,
-starts none. No helper is shared between solves, and the executor is shut
-down on every exit of its solve. A block's work is the same operations in
-the same order on either thread, and the blocks share nothing they write,
-so the solve's results are bit-for-bit those of a one-thread solve.
+of the solve's own ThreadPoolExecutor (thread drcw-sdp_0) factors
+Z_-(alpha) and forms Z_-^{-1} while the calling thread does the same for
+Z_+(alpha). Below that size the hand-over costs more than the overlap
+saves: all the work stays on the calling thread, and the executor, which
+starts its worker on its first job, starts none. No helper is shared
+between solves, and the executor is shut down on every exit of its solve.
+A block's work is the same operations in the same order on either thread,
+and the blocks share nothing they write, so the solve's results are
+bit-for-bit those of a one-thread solve.
 Two O(M) certificates rule out a trial step before it is factored, since
 each shows Z(alpha) indefinite: a non-positive diagonal entry of a block of
 Z(alpha), which bounds every Cholesky pivot of that block, and a
@@ -219,13 +219,6 @@ def _inner(stacks: list[np.ndarray], others: list[np.ndarray]) -> float:
     return sum(float(np.vdot(a, b)) for sa, sb in zip(stacks, others) for a, b in zip(sa, sb))
 
 
-def _paired(stacks: list[np.ndarray]) -> list[np.ndarray] | None:
-    """The two blocks, if both have _PAIRED_MIN rows or more; else None."""
-    if sum(map(len, stacks)) < 2 or stacks[-1].shape[-1] < _PAIRED_MIN:
-        return None
-    return [b for s in stacks for b in s]
-
-
 def _block_factor(b: np.ndarray, u: np.ndarray) -> np.ndarray | None:
     """The Cholesky factor of Z_b = Diag(u) - b for the block, or each block
     of the stack, b, or None if one Z_b is not positive definite."""
@@ -257,8 +250,8 @@ def _inverses(pool, stacks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]
     of at least _PAIRED_MIN rows are factored, then inverted, on this thread
     and the thread of the one-worker ``pool``; otherwise the stacks are, one
     call each, in order on this thread, and the first that fails ends it."""
-    blocks = _paired(stacks)
-    if blocks is None:
+    blocks = [b for s in stacks for b in s]
+    if len(blocks) < 2 or blocks[1].shape[0] < _PAIRED_MIN:
         factors = []
         for s in stacks:
             factors.append(_block_factor(s, u))
@@ -304,11 +297,12 @@ def solve_partition_sdp(
     reversal-symmetric) and one Cholesky factor per stack of equal-size
     blocks of Z = Diag(y) - A_tilde (one stack at even M, two at odd M) at
     the accepted step, from which Z^{-1} is formed; from M = 256 the two
-    blocks' work runs on two threads, this one and the worker of an executor
-    of this solve's own, which is shut down when the solve returns or raises. A trial step is
-    factored only if neither O(M) certificate (the blocks' diagonals there,
-    and Z's quadratic form there along each column of the current Z^{-1})
-    shows it indefinite; the factorization alone accepts a step.
+    blocks' work runs on two threads, this one and the worker of an
+    executor of this solve's own, which is shut down when the solve returns
+    or raises. A trial step is factored only if neither O(M) certificate
+    (the blocks' diagonals there, and Z's quadratic form there along each
+    column of the current Z^{-1}) shows it indefinite; the factorization
+    alone accepts a step.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -333,35 +327,33 @@ def solve_partition_sdp(
     c = _padded_sum([np.full(s.shape[-1], float(len(s))) for s in stacks])
     # each stack's diagonals, and how many entries of u they go with
     stack_diags = [(s.shape[-1], np.diagonal(s, axis1=-2, axis2=-1)) for s in stacks]
+    lam = [np.linalg.eigvalsh(s) for s in stacks]
+    lam_min = min(float(np.min(v[:, 0])) for v in lam)
+    lam_max = max(float(np.max(v[:, -1])) for v in lam)
+    spectral = max(abs(lam_min), abs(lam_max))
+    scale = spectral * M  # problem-size proxy, invariant under rescaling
+
+    u = (lam_max + 1.0) * np.ones(len(c))
+    t = 1.0 / spectral
+    mu = 20.0
+    iterations = 0
+    trace_rows: list[tuple[int, float, float, float]] = []
+    X = [np.broadcast_to(np.eye(s.shape[-1]), s.shape) for s in stacks]
+    gap = np.inf
+    pobj = 0.0
+    dobj = float(c @ u)
+
     exhausted = False
     with ThreadPoolExecutor(1, thread_name_prefix="drcw-sdp") as pool:
-        pair = _paired(stacks)
-        if pair is None:
-            lam = [np.linalg.eigvalsh(s) for s in stacks]
-        else:
-            lam = _on_two_threads(pool, np.linalg.eigvalsh, pair[:1], pair[1:])
-        lam_min = min(float(np.min(v[..., 0])) for v in lam)
-        lam_max = max(float(np.max(v[..., -1])) for v in lam)
-        spectral = max(abs(lam_min), abs(lam_max))
-        scale = spectral * M  # problem-size proxy, invariant under rescaling
-
-        u = (lam_max + 1.0) * np.ones(len(c))
-        t = 1.0 / spectral
-        mu = 20.0
-        iterations = 0
-        trace_rows: list[tuple[int, float, float, float]] = []
-        X = [np.broadcast_to(np.eye(s.shape[-1]), s.shape) for s in stacks]
-        gap = np.inf
-        pobj = 0.0
-        dobj = float(c @ u)
-
         inverses = _inverses(pool, stacks, u)
         zinv_diag = _diagonal(inverses)
         for _stage in range(120):
             # Newton centering at the current t
             for _ in range(80):
                 g = t * c - zinv_diag
-                H = _padded_sum([(w * w).sum(0) for w in inverses])
+                # the blocks' squares added as slabs: a sum over the stack's first
+                # axis took 1.8x as long at 256 rows per block
+                H = _padded_sum([sq for w in inverses for sq in w * w])
                 try:
                     du = -np.linalg.solve(H, g)
                 except np.linalg.LinAlgError:
