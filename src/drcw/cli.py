@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or validation
 error, 3 solver failure. All outputs (JSON documents, CSV, SVG) are
-deterministic functions of the command line, so repeated runs are
-byte-identical.
+deterministic functions of the command line and the BLAS thread count,
+so repeated runs are byte-identical.
 
 Angles on the command line carry an explicit unit: multiples of pi as
 ``0.8pi``, raw radians as ``0.8rad``. Null points are ``ANGLE:ORDER``,
@@ -231,10 +231,15 @@ def cmd_analyze(args) -> int:
 
 
 def _table_rows(args) -> list[dict]:
-    k0_list = [s for s in args.k0.split(",") if s.strip()]
+    k0_list = [s.strip() for s in args.k0.split(",") if s.strip()]
     if not k0_list:
         raise ValueError("--k0 list must not be empty")
-    k0_values = [int(s) for s in k0_list]
+    k0_values = []
+    for s in k0_list:
+        try:
+            k0_values.append(int(s))
+        except ValueError:
+            raise ValueError(f"--k0 entries must be integers, got {s!r}") from None
     windows = [w.strip() for w in args.windows.split(",") if w.strip()]
     if not windows:
         raise ValueError("--windows list must not be empty")

@@ -51,20 +51,19 @@ between solves, and the executor is shut down on every exit of its solve.
 A block's work is the same operations in the same order on either thread,
 and the blocks share nothing they write, so the solve's results are
 bit-for-bit those of a one-thread solve.
-Two O(M) certificates rule out a trial step before it is factored, since
-each shows Z(alpha) indefinite: a non-positive diagonal entry of a block of
-Z(alpha), which bounds every Cholesky pivot of that block, and a
+One O(M) certificate rules out a trial step before it is factored: a
 non-positive v^T Z(alpha) v for a column v = Z^{-1} e_i of the current
 M x M inverse, which the Newton equation gives for every i at once as
 (1 + alpha) Z^{-1}_ii - alpha t, where Z^{-1}_ii is the blocks' diagonal
-sum over c. Only the factorization accepts a step. The primal iterate
-X = Z^{-1}/t, from the same inverses, is positive definite by
-construction, and any dual-feasible y certifies the upper bound
-sum(y) >= optimum, so the reported duality gap is certified rather than
-heuristic. S is X rescaled to unit diagonal, unconditionally: Z^{-1} of a
-Cholesky-accepted Z has a positive diagonal. Problems are normalized by
-the Frobenius norm of A_tilde internally, making the solve exactly scale
-equivariant.
+sum over c. Only the factorization accepts a step; it refuses a
+non-positive diagonal entry too, as pivot j is z_jj less a sum of squares.
+The primal iterate X = Z^{-1}/t, from the same inverses, is positive
+definite by construction, and any dual-feasible y certifies the upper
+bound sum(y) >= optimum, so the reported duality gap is certified rather
+than heuristic. S is X rescaled to unit diagonal, unconditionally: Z^{-1}
+of a Cholesky-accepted Z has a positive diagonal. Problems are normalized
+by the Frobenius norm of A_tilde internally, making the solve exactly
+scale equivariant.
 """
 
 from __future__ import annotations
@@ -104,6 +103,7 @@ class SdpSolution:
 
 _BASE_BLOCK = 64  # LAPACK inverts blocks up to this size; 32 measured the same
 _SYMMETRY_TOL = 1e-8  # relative Frobenius deviation taken for roundoff
+_TOL = 1e-6  # relative optimality tolerance of the certified duality gap
 # blocks of at least this many rows are factored and inverted two at a time:
 # on 2 cores with BLAS on one thread, two such blocks took 0.71x the
 # one-thread time at 128 rows, 0.90x at 112 and 1.26x at 96, where the
@@ -133,14 +133,6 @@ def _inverse_from_cholesky(L: np.ndarray, out: np.ndarray | None = None) -> np.n
     of a positive definite Z = L L^T, written into ``out`` if given."""
     l_inv = _lower_inverse(L)
     return np.matmul(l_inv.swapaxes(-1, -2), l_inv, out=out)
-
-
-def _certificates_pass(z_diags: list, zinv_min: float, step: float, t: float) -> bool:
-    """False if a certificate of the module docstring shows the trial
-    Z(step) indefinite: ``z_diags`` are its stacks' diagonals, ``zinv_min``
-    is min_i Z^{-1}_ii at the current Z, and ``t`` is the barrier parameter
-    of the Newton equation that gave the step direction."""
-    return (1.0 + step) * zinv_min > step * t and all(d.min() > 0 for d in z_diags)
 
 
 def _reversal_blocks(a: np.ndarray) -> list[np.ndarray]:
@@ -269,12 +261,7 @@ def _inverses(pool, stacks: list[np.ndarray], u: np.ndarray) -> list[np.ndarray]
     return out
 
 
-def solve_partition_sdp(
-    a_tilde,
-    tol: float = 1e-6,
-    max_iter: int = 5000,
-    collect_trace: bool = False,
-) -> SdpSolution:
+def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = False) -> SdpSolution:
     """Solve max tr(A_tilde S) s.t. diag(S) = 1, S PSD.
 
     Parameters
@@ -282,16 +269,15 @@ def solve_partition_sdp(
     a_tilde : (M, M) array
         Symmetric objective matrix. Symmetry deviation beyond
         1e-8 * ||A_tilde|| is rejected.
-    tol : float
-        Relative optimality tolerance in (0, 1e-2]. The certified duality
-        gap at return is at most tol times the problem scale.
     max_iter : int
         Budget of Newton steps. On exhaustion the best iterate is returned
-        with ``converged`` False.
+        with ``converged`` False; otherwise the certified duality gap is at
+        most _TOL = 1e-6 times the problem scale.
 
     The returned matrix has exactly unit diagonal (always rescaled at the
-    end) and is positive definite up to roundoff. Deterministic: identical
-    inputs produce identical outputs.
+    end) and is positive definite up to roundoff. Identical inputs give
+    identical outputs under the same BLAS thread count; from M = 255 up,
+    the bits depend on that count.
 
     Each Newton step costs one ceil(M/2) solve (M for a form that is not
     reversal-symmetric) and one Cholesky factor per stack of equal-size
@@ -299,16 +285,12 @@ def solve_partition_sdp(
     the accepted step, from which Z^{-1} is formed; from M = 256 the two
     blocks' work runs on two threads, this one and the worker of an
     executor of this solve's own, which is shut down when the solve returns
-    or raises. A trial step is factored only if neither O(M) certificate
-    (the blocks' diagonals there, and Z's quadratic form there along each
-    column of the current Z^{-1}) shows it indefinite; the factorization
-    alone accepts a step.
+    or raises. The factorization alone accepts a trial step, which the
+    module docstring's O(M) column certificate may reject first.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"a_tilde must be square, got shape {A.shape}")
-    if not 0.0 < tol <= 1e-2:
-        raise ValueError(f"tol must lie in (0, 1e-2], got {tol}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     M = A.shape[0]
@@ -325,8 +307,6 @@ def solve_partition_sdp(
     stacks, shift = _blocks((A + A.T) / (2.0 * norm))
     # c_i: the entries of y that u_i stands for
     c = _padded_sum([np.full(s.shape[-1], float(len(s))) for s in stacks])
-    # each stack's diagonals, and how many entries of u they go with
-    stack_diags = [(s.shape[-1], np.diagonal(s, axis1=-2, axis2=-1)) for s in stacks]
     lam = [np.linalg.eigvalsh(s) for s in stacks]
     lam_min = min(float(np.min(v[:, 0])) for v in lam)
     lam_max = max(float(np.max(v[:, -1])) for v in lam)
@@ -362,10 +342,9 @@ def solve_partition_sdp(
                 zinv_min = float((zinv_diag / c).min())
                 step = 1.0
                 for _bt in range(70):
-                    u_trial = u + step * du
-                    z_diags = [u_trial[:k] - d for k, d in stack_diags]
-                    if _certificates_pass(z_diags, zinv_min, step, t):
-                        trial = _inverses(pool, stacks, u_trial)
+                    # the column certificate of the module docstring
+                    if (1.0 + step) * zinv_min > step * t:
+                        trial = _inverses(pool, stacks, u + step * du)
                         if trial is not None:
                             inverses = trial
                             break
@@ -393,7 +372,7 @@ def solve_partition_sdp(
                     X = [w / t for w in inverses]
                     pobj, dobj, gap = pobj_i, dobj_i, dobj_i - pobj_i
                     break
-            if gap <= 0.5 * tol * max(scale, abs(pobj)):
+            if gap <= 0.5 * _TOL * max(scale, abs(pobj)):
                 break
             if iterations >= max_iter:
                 exhausted = True
@@ -414,7 +393,7 @@ def solve_partition_sdp(
     np.fill_diagonal(S, 1.0)
     objective = pobj * norm
     dual_bound = dobj * norm
-    converged = (not exhausted) and gap <= tol * max(scale, abs(pobj))
+    converged = (not exhausted) and gap <= _TOL * max(scale, abs(pobj))
     res = SdpResiduals(duality_gap=gap * norm)
     return SdpSolution(
         s_matrix=S,

@@ -247,3 +247,16 @@ def inverses_per_block(blocks, u, base_block=64):
         l_inv = lower_inverse(L)
         inverses.append(l_inv.T @ l_inv)
     return inverses
+
+
+def diagonal_certificate(stacks, u):
+    """False if a block of Z = Diag(u) - A_b, over the stacks of blocks A_b,
+    has a diagonal entry that is not positive, read one entry at a time.
+    The solver leaves this test of a trial step to the Cholesky factor,
+    whose pivot j is z_jj less a sum of squares."""
+    for stack in stacks:
+        for b in stack:
+            for j in range(b.shape[0]):
+                if not u[j] - b[j, j] > 0:
+                    return False
+    return True

@@ -378,6 +378,17 @@ class TestTableCommand:
         assert run_cli("table", "--k0", "", "--m", "10") == 2
         assert "must not be empty" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k0,entry", [("abc", "abc"), ("10,1.5", "1.5"), ("10, x ,20", "x")])
+    def test_non_integer_k0_is_usage_error(self, monkeypatch, capsys, k0, entry):
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before --k0 was checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        assert run_cli("table", "--k0", k0, "--m", "50") == 2
+        err = capsys.readouterr().err
+        assert f"--k0 entries must be integers, got '{entry}'" in err
+        assert "invalid literal" not in err
+
     def test_k0_budget_checked(self):
         assert run_cli("table", "--k0", "12", "--m", "10", "--grid", "128") == 2
 

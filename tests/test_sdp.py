@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 from drcw import sdp
 from drcw.nullspec import NullSpec, constraint_basis, quadratic_form
 from drcw.sdp import (
-    _certificates_pass,
     _inverse_from_cholesky,
     _join,
     _reversal_blocks,
     solve_partition_sdp,
 )
 from drcw.sequences import window_template
-from oracles import brute_force_partition_max, inverses_per_block
+from oracles import brute_force_partition_max, diagonal_certificate, inverses_per_block
 
 
 def random_instance(rng, m):
@@ -82,7 +81,7 @@ class TestSolutionInvariants:
     def test_feasibility_residuals(self, seed):
         rng = np.random.default_rng(seed)
         form = random_instance(rng, 12)
-        sol = solve_partition_sdp(form, tol=1e-6)
+        sol = solve_partition_sdp(form)
         assert sol.converged
         assert np.max(np.abs(np.diag(sol.s_matrix) - 1.0)) <= 1e-6
         norm = np.linalg.norm(form)
@@ -96,7 +95,7 @@ class TestSolutionInvariants:
         spec = NullSpec(k0=4, nulls=((0.5 * np.pi, 1), (0.8 * np.pi, 1)))
         form = quadratic_form(constraint_basis(spec, m), window_template("hamming", m))
         tol = 1e-6
-        sol = solve_partition_sdp(form, tol=tol)
+        sol = solve_partition_sdp(form)
         assert sol.converged
         scale = m * float(np.max(np.abs(np.linalg.eigvalsh(form))))
         assert sol.residuals.duality_gap <= tol * scale
@@ -365,9 +364,62 @@ class TestStepCertificates:
         zinv_min = float(np.min(np.diag(z_inv)))
         for k in range(11):
             step = 0.5**k
-            if not _certificates_pass([np.diag(z) + step * dy], zinv_min, step, t):
+            if not (1.0 + step) * zinv_min > step * t:
                 with pytest.raises(np.linalg.LinAlgError):
                     np.linalg.cholesky(z + step * np.diag(dy))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=130),
+        st.sampled_from(sorted(TestStackedStep.LAYOUTS)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.floats(min_value=0.0, max_value=2.0),
+    )
+    @example(1, "single", 0, 0.0)
+    @example(64, "even", 1, 0.0)
+    @example(65, "odd", 2, 1e-12)
+    @example(130, "odd", 3, 0.0)
+    def test_non_positive_diagonal_does_not_factor(self, k, layout, seed, deficit):
+        # blocks with Diag(u) - b positive definite but for one diagonal
+        # entry, lowered to ``deficit`` below zero: the factor refuses every
+        # stack that holds a non-positive diagonal entry, so a pre-check of
+        # the diagonal could never reject a step the factor accepts
+        rng = np.random.default_rng(seed)
+        sizes = TestStackedStep.LAYOUTS[layout](k)
+        blocks = [rng.standard_normal((n, n)) for n in sizes]
+        blocks = [(g + g.T) / np.sqrt(len(g)) for g in blocks]
+        top = max(float(np.linalg.eigvalsh(b)[-1]) for b in blocks)
+        u = top + rng.uniform(0.01, 1.0, sizes[0])
+        which = int(rng.integers(len(blocks)))
+        j = int(rng.integers(sizes[which]))
+        u[j] = blocks[which][j, j] - deficit
+        stacks = [np.stack(blocks)] if layout == "even" else [b[np.newaxis] for b in blocks]
+        assert not diagonal_certificate(stacks, u)
+        refused = 0
+        for stack in stacks:
+            if (u[: stack.shape[-1]] - np.diagonal(stack, axis1=-2, axis2=-1)).min() <= 0:
+                assert sdp._block_factor(stack, u) is None
+                refused += 1
+        assert refused >= 1
+
+    @pytest.mark.parametrize(
+        "m,window,spec,max_iter",
+        [
+            (50, "hamming", NullSpec(k0=20), 5000),
+            (51, "hamming", NullSpec(k0=9, nulls=((0.3 * np.pi, 2),)), 5000),
+            (128, "rectangular", NullSpec(k0=24), 150),  # a D2 stall (ROADMAP)
+        ],
+    )
+    def test_diagonal_pre_check_changes_no_iterate(self, monkeypatch, m, window, spec, max_iter):
+        form = quadratic_form(constraint_basis(spec, m), window_template(window, m))
+        plain = solve_partition_sdp(form, max_iter=max_iter)
+        inverses = sdp._inverses
+
+        def pre_checked(pool, stacks, u):
+            return inverses(pool, stacks, u) if diagonal_certificate(stacks, u) else None
+
+        monkeypatch.setattr(sdp, "_inverses", pre_checked)
+        assert_same_solution(solve_partition_sdp(form, max_iter=max_iter), plain)
 
     def test_no_failed_factorization_at_m256(self, monkeypatch):
         form = quadratic_form(
@@ -469,7 +521,7 @@ class TestPairedBlocks:
     @pytest.mark.parametrize("paired_min", [sys.maxsize, 1])
     def test_a_trial_that_does_not_factor_costs_no_inverse(self, monkeypatch, paired_min):
         # a D2 stall form (ROADMAP) whose step test meets Z(alpha) that
-        # pass both certificates and still do not factor
+        # pass the column certificate and still do not factor
         form = quadratic_form(
             constraint_basis(NullSpec(k0=24), 128), window_template("rectangular", 128)
         )
@@ -631,11 +683,6 @@ class TestErrorHandling:
         at = np.array([[1.0, 2.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             solve_partition_sdp(at)
-
-    def test_rejects_bad_tol(self):
-        for tol in (0.0, -1e-3, 0.5):
-            with pytest.raises(ValueError, match="tol"):
-                solve_partition_sdp(np.eye(3), tol=tol)
 
     def test_budget_exhaustion_is_flagged(self):
         rng = np.random.default_rng(17)
