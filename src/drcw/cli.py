@@ -132,7 +132,15 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _check_pulse_count(m: int) -> None:
+    """The designs' pulse-count check, made before the window is built:
+    the window's own check would name its length, not the pulse count."""
+    if m < 2:
+        raise ValueError(f"pulse count must be >= 2, got {m}")
+
+
 def _design_from_args(args) -> DesignResult:
+    _check_pulse_count(args.m)
     nulls = tuple(parse_null(t) for t in args.null)
     spec = NullSpec(k0=args.k0, nulls=nulls)
     if args.method != "nm":
@@ -231,6 +239,7 @@ def cmd_analyze(args) -> int:
 
 
 def _table_rows(args) -> list[dict]:
+    _check_pulse_count(args.m)
     k0_list = [s.strip() for s in args.k0.split(",") if s.strip()]
     if not k0_list:
         raise ValueError("--k0 list must not be empty")
@@ -243,6 +252,10 @@ def _table_rows(args) -> list[dict]:
     windows = [w.strip() for w in args.windows.split(",") if w.strip()]
     if not windows:
         raise ValueError("--windows list must not be empty")
+    for option, entries in (("--k0", k0_values), ("--windows", windows)):
+        for i, entry in enumerate(entries):
+            if entry in entries[:i]:
+                raise ValueError(f"{option} entry {entry!r} is repeated")
     for k0 in k0_values:
         if k0 > args.m - 1:
             raise ValueError(f"k0={k0} violates k0 <= m-1 for m={args.m}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .nullspec import NullSpec, constraint_basis, max_null_violation, quadratic_form
-from .sdp import _PAIRED_MIN, SolverFailure, solve_partition_sdp
+from .sdp import _PAIRED_MIN, SolverFailure, _reversal_blocks, solve_partition_sdp
 from .sequences import WindowTemplate, binomial_weights, ptm_order
 
 
@@ -79,6 +79,8 @@ class _Draws:
     drawn, on every exit path."""
 
     def __init__(self, seed: int, trials: int, m: int):
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.rows = max(_MIN_BLOCK_ROWS, _BLOCK_BYTES // (8 * m))
         lead_bytes = _LOOKAHEAD_BYTES if m < 2 * _PAIRED_MIN else _PAIRED_LOOKAHEAD_BYTES
         lead = max(1, lead_bytes // (8 * self.rows * m))
@@ -129,21 +131,27 @@ def round_solution(
 
     A_tilde = Diag(w^2) - B B^T with B = Diag(w) P, so every sign vector is
     scored in rank K as ||w||^2 - ||B^T s||^2; the reported objective is
-    this score. If the top eigenvalue of S dominates the rest by the factor
-    ``RANK1_RATIO`` the solution is treated as rank one and the leading
-    eigenvector's sign pattern is returned directly. Otherwise S is factored
-    as V V^T from ``eigh`` and ``trials`` Gaussian vectors r give the
-    candidates sign(V r), sign(0) = +1. The r come from one generator seeded
-    by ``seed`` in consecutive blocks of 256 KB (at least 128 candidates),
-    the same numbers as one (trials, M) draw; each block is signed and
-    scored by one (block x M)(M x K) product on this thread.
+    this score. ``trials`` Gaussian vectors r give the candidates sign(F r),
+    sign(0) = +1, for a factor F F^T = S. Below M = 256, F is V from
+    ``eigh`` with negative eigenvalues clamped to zero, and if the top
+    eigenvalue of S dominates the rest by the factor ``RANK1_RATIO`` the
+    leading eigenvector's sign pattern is returned directly. From M = 256
+    (2 * sdp._PAIRED_MIN), F comes from the Cholesky factors of S's reversal
+    blocks (``_reversal_product``): a fraction of eigh's cost, and continuous
+    in S, where eigh's basis inside a cluster of near-equal eigenvalues is
+    arbitrary. S must be positive definite there. eigh stays below M = 256
+    because the paper's seed-24 table pins the M = 50 picks it gives. The r
+    come from one generator seeded by ``seed`` in consecutive blocks of
+    256 KB (at least 128 candidates), the same numbers as one (trials, M)
+    draw; each block is signed and scored by one (block x M)(M x K) product
+    on this thread.
 
     The blocks are drawn by the worker of a one-thread executor, which
-    starts before ``eigh`` and stays ahead of the products by at most 3 MiB
-    of whole blocks, 1 MiB from M = 256. ``draws`` holds that executor when
-    the caller has already started the draw for (seed, trials, M), as
-    ``design_nm_drcw`` does; the executor is shut down on return or raise
-    either way.
+    starts before the factor and stays ahead of the products by at most
+    3 MiB of whole blocks, 1 MiB from M = 256. ``draws`` holds that
+    executor when the caller has already started the draw for (seed,
+    trials, M), as ``design_nm_drcw`` does; the executor is shut down on
+    return or raise either way.
 
     The pick is the first maximum of the computed score, lowest trial index
     first. s and -s, and for persymmetric forms the reversals Js and -Js,
@@ -160,25 +168,35 @@ def round_solution(
         w = window.values
         b = w[:, None] * p
         norm_w = float(w @ w)
-        lam, vecs = np.linalg.eigh(S)
-        lam = lam[::-1]
-        vecs = vecs[:, ::-1]
+        clamped = False
+        if M >= 2 * _PAIRED_MIN:
+            product = _reversal_product(S)
+        else:
+            lam, vecs = np.linalg.eigh(S)
+            lam = lam[::-1]
+            vecs = vecs[:, ::-1]
 
-        clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
-        tail = float(np.sum(lam[1:]))
-        if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
-            s = _sign_pm1(vecs[:, 0])
-            proj = b.T @ s
-            obj = norm_w - float(proj @ proj)
-            return RoundedSolution(s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped)
+            clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
+            tail = float(np.sum(lam[1:]))
+            if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
+                s = _sign_pm1(vecs[:, 0])
+                proj = b.T @ s
+                obj = norm_w - float(proj @ proj)
+                return RoundedSolution(
+                    s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped
+                )
 
-        factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
+            factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
+
+            def product(r, c):
+                np.matmul(r, factor_t, out=c)
+
         candidates = np.empty((min(draws.rows, trials), M))
         best, best_score = None, -math.inf
         for _ in range(0, trials, draws.rows):
             r = draws.take()
             c = candidates[: len(r)]
-            np.matmul(r, factor_t, out=c)
+            product(r, c)
             draws.give_back(r)
             c += 0.0  # -0.0 becomes +0.0, so copysign gives sign(0) = +1
             np.copysign(1.0, c, out=c)
@@ -193,6 +211,36 @@ def round_solution(
         used_rank1_shortcut=False,
         clamped_eigenvalues=clamped,
     )
+
+
+def _reversal_product(S: np.ndarray):
+    """``product(r, c)``, which writes into c candidates with the signs of
+    r F^T for a block r of normals and the factor F = Q blockdiag(F+, F-)
+    of S = F F^T: Q is the reversal basis of the ``sdp`` module docstring
+    and F+, F- are the lower Cholesky factors of S's reversal blocks. With a = r+ F+^T and b = r- F-^T for the first
+    ceil(M/2) columns r+ of r and the rest r-, r F^T is (a + b)/sqrt(2) at
+    pulse i < floor(M/2), (a - b)/sqrt(2) at pulse M-1-i, and a at the
+    centre of an odd M; the 1/sqrt(2) is left out, as it changes no sign.
+    An S that is not exactly reversal-symmetric is factored as one block,
+    and an S that is not positive definite raises ValueError."""
+    blocks = _reversal_blocks(S) if np.array_equal(S, S[::-1, ::-1]) else [S]
+    try:
+        factors_t = [np.linalg.cholesky(block).T for block in blocks]
+    except np.linalg.LinAlgError:
+        raise ValueError("relaxation matrix S must be positive definite") from None
+    if len(factors_t) == 1:
+        return lambda r, c: np.matmul(r, factors_t[0], out=c)
+    plus_t, minus_t = factors_t
+    k, h = len(plus_t), len(minus_t)
+
+    def product(r, c):
+        a = r[:, :k] @ plus_t
+        b = r[:, k:] @ minus_t
+        np.add(a[:, :h], b, out=c[:, :h])
+        np.subtract(a[:, :h], b, out=c[:, k:][:, ::-1])
+        c[:, h:k] = a[:, h:]  # the centre pulse of an odd M
+
+    return product
 
 
 def recover_amplitudes(s_hat, p: np.ndarray, window: WindowTemplate) -> np.ndarray:

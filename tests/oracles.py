@@ -260,3 +260,37 @@ def diagonal_certificate(stacks, u):
                 if not u[j] - b[j, j] > 0:
                     return False
     return True
+
+
+def reversal_basis(m):
+    """The orthogonal M x M matrix Q whose columns are the reversal basis,
+    written entry by entry: column i < floor(M/2) is (e_i + e_{M-1-i})/sqrt(2),
+    the centre e_c of an odd M comes next, then column ceil(M/2) + i is
+    (e_i - e_{M-1-i})/sqrt(2)."""
+    h = m // 2
+    k = m - h
+    q = np.zeros((m, m))
+    for i in range(h):
+        q[i, i] = q[m - 1 - i, i] = 1.0 / math.sqrt(2.0)
+        q[i, k + i] = 1.0 / math.sqrt(2.0)
+        q[m - 1 - i, k + i] = -1.0 / math.sqrt(2.0)
+    if k > h:
+        q[h, h] = 1.0
+    return q
+
+
+def rounding_factor(s_matrix):
+    """F with F F^T = S, built densely: Q blockdiag(F+, F-) for the
+    reversal basis Q and the lower Cholesky factors F+, F- of the diagonal
+    blocks of Q^T S Q, if S is exactly reversal-symmetric; else the lower
+    Cholesky factor of S."""
+    m = len(s_matrix)
+    if not np.array_equal(s_matrix, s_matrix[::-1, ::-1]):
+        return np.linalg.cholesky(s_matrix)
+    q = reversal_basis(m)
+    k = m - m // 2
+    rotated = q.T @ s_matrix @ q
+    factor = np.zeros((m, m))
+    factor[:k, :k] = np.linalg.cholesky(rotated[:k, :k])
+    factor[k:, k:] = np.linalg.cholesky(rotated[k:, k:])
+    return q @ factor

@@ -110,6 +110,42 @@ class TestDesignCommand:
         assert "pulse count must be >= 2, got 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["nm", "bd", "ptm", "uniform", "table"])
+    @pytest.mark.parametrize("m", [-5, 0])
+    def test_every_method_names_the_pulse_count(self, monkeypatch, command, m, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("design work ran before the pulse count was checked")
+
+        monkeypatch.setattr("drcw.cli.window_template", never)
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        out = tmp_path / "d.json"
+        argv = ["table", "--k0", "0"] if command == "table" else ["design", command]
+        assert run_cli(*argv, "--m", str(m), "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"pulse count must be >= 2, got {m}" in err
+        assert "window length" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("design", "nm", "--m", "8", "--k0", "2"),
+            ("table", "--k0", "2", "--windows", "hamming", "--m", "8"),
+        ],
+        ids=["design", "table"],
+    )
+    def test_negative_seed_names_the_seed(self, monkeypatch, argv, tmp_path, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("design work ran before the seed was checked")
+
+        monkeypatch.setattr("drcw.design.constraint_basis", never)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--seed", "-1", "-o", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err
+        assert "non-negative integer" not in err
+        assert not out.exists()
+
     def test_nm_is_the_only_spelling(self, capsys):
         assert run_cli("design", "nm_drcw", "--m", "10") == 2
         assert "invalid choice: 'nm_drcw'" in capsys.readouterr().err
@@ -377,6 +413,22 @@ class TestTableCommand:
     def test_empty_k0_is_usage_error(self, capsys):
         assert run_cli("table", "--k0", "", "--m", "10") == 2
         assert "must not be empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option,value,entry",
+        [("--k0", "10,10", "10"), ("--k0", "10, 20,010", "10"),
+         ("--windows", "hamming,hamming", "'hamming'"),
+         ("--windows", "hamming, rectangular ,rectangular", "'rectangular'")],
+    )
+    def test_repeated_entry_is_usage_error(self, monkeypatch, capsys, option, value, entry):
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before the lists were checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        argv = {"--k0": "10", "--windows": "hamming", option: value}
+        assert run_cli("table", "--k0", argv["--k0"], "--windows", argv["--windows"],
+                       "--m", "50") == 2
+        assert f"{option} entry {entry} is repeated" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k0,entry", [("abc", "abc"), ("10,1.5", "1.5"), ("10, x ,20", "x")])
     def test_non_integer_k0_is_usage_error(self, monkeypatch, capsys, k0, entry):

@@ -38,6 +38,7 @@ from oracles import (
     convolution_matrix,
     division_remainder,
     null_moments,
+    rounding_factor,
 )
 
 
@@ -137,6 +138,11 @@ class TestRoundSolution:
         with pytest.raises(ValueError, match="trials"):
             round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=0, seed=0)
 
+    def test_rejects_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=10, seed=-1)
+        assert draw_threads() == []
+
     def test_clamps_negative_eigenvalues(self):
         shat = np.array([[1.0, 1.001], [1.001, 1.0]])  # slightly indefinite
         rounded = round_solution(shat, ALIGN_P, ALIGN_WINDOW, trials=16, seed=0)
@@ -232,13 +238,29 @@ def random_relaxation(m, seed=0):
     return s_matrix / np.sqrt(np.outer(np.diag(s_matrix), np.diag(s_matrix)))
 
 
+def gram_relaxation(m, columns, reversal_symmetric, seed=0):
+    """A unit-diagonal S from G G^T for a random M x ``columns`` G, exactly
+    reversal-symmetric or not: positive definite for columns >= M, of rank
+    at most 2 * columns otherwise."""
+    g = np.random.default_rng(seed).standard_normal((m, columns))
+    s_matrix = g @ g.T
+    if reversal_symmetric:
+        s_matrix = (s_matrix + s_matrix[::-1, ::-1]) / 2
+    return s_matrix / np.sqrt(np.outer(np.diag(s_matrix), np.diag(s_matrix)))
+
+
 def one_shot_round(s_matrix, p, window, trials, seed):
     """(pick, score) of rounding on this thread alone: the blocks of
     candidates that round_solution signs and scores, cut from one
-    (trials, M) draw, with the first maximum kept."""
+    (trials, M) draw, with the first maximum kept. The candidates are
+    r V^T for V from eigh below M = 256 and r F^T for the dense Cholesky
+    factor ``rounding_factor`` from there on."""
     m = len(s_matrix)
-    lam, vecs = np.linalg.eigh(s_matrix)
-    factor_t = (vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))).T
+    if m >= 2 * sdp._PAIRED_MIN:
+        factor_t = rounding_factor(s_matrix).T
+    else:
+        lam, vecs = np.linalg.eigh(s_matrix)
+        factor_t = (vecs[:, ::-1] * np.sqrt(np.maximum(lam[::-1], 0.0))).T
     r = np.random.default_rng(seed).standard_normal((trials, m))
     b = window.values[:, None] * p
     norm_w = float(window.values @ window.values)
@@ -319,9 +341,11 @@ class TestDrawThread:
     """The rounding normals are drawn on a thread of their own, from the
     design's validated inputs on, at most lead_blocks(M) blocks ahead."""
 
-    @pytest.mark.parametrize("m", [50, 51, 256, 512])
+    @pytest.mark.parametrize("m", [50, 51, 256, 257, 512])
     @pytest.mark.parametrize("case", ["one", "rows-1", "rows", "rows+1", "past-the-lead"])
     def test_pick_equals_the_one_shot_draw(self, m, case):
+        # from M = 256 rounding takes a Cholesky factor, so S is positive
+        # definite there, one reversal-symmetric and one not
         rows = block_rows(m)
         trials = {
             "one": 1,
@@ -332,13 +356,18 @@ class TestDrawThread:
         }[case]
         p = constraint_basis(NullSpec(k0=8), m)
         window = window_template("hamming", m)
-        s_matrix = random_relaxation(m)
-        for seed in (0, 1):
-            rounded = round_solution(s_matrix, p, window, trials=trials, seed=seed)
-            best, best_score = one_shot_round(s_matrix, p, window, trials, seed)
-            assert not rounded.used_rank1_shortcut
-            assert np.array_equal(rounded.s, best), seed
-            assert rounded.objective == best_score, seed
+        if m < 2 * sdp._PAIRED_MIN:
+            relaxations = [random_relaxation(m)]
+        else:
+            relaxations = [gram_relaxation(m, 2 * m, symmetric) for symmetric in (True, False)]
+            assert [np.array_equal(s, s[::-1, ::-1]) for s in relaxations] == [True, False]
+        for s_matrix in relaxations:
+            for seed in (0, 1):
+                rounded = round_solution(s_matrix, p, window, trials=trials, seed=seed)
+                best, best_score = one_shot_round(s_matrix, p, window, trials, seed)
+                assert not rounded.used_rank1_shortcut
+                assert np.array_equal(rounded.s, best), seed
+                assert rounded.objective == best_score, seed
         assert draw_threads() == []
 
     @pytest.mark.parametrize("m", [50, 255, 256, 512])
@@ -498,6 +527,44 @@ class TestDrawThread:
         assert errors == []
         assert results == [reference] * 6
         assert draw_threads() == []
+
+
+class TestCholeskyRounding:
+    """From M = 256 rounding draws its candidates from the Cholesky factors
+    of S's reversal blocks; below, from eigh."""
+
+    @pytest.mark.parametrize("m", [255, 256])
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["plain", "reversal-symmetric"])
+    def test_rank_deficient_relaxation_is_refused_from_256(self, m, symmetric):
+        s_matrix = gram_relaxation(m, m // 4, symmetric)
+        assert np.array_equal(s_matrix, s_matrix[::-1, ::-1]) == symmetric
+        p = constraint_basis(NullSpec(k0=8), m)
+        window = window_template("hamming", m)
+        if m < 2 * sdp._PAIRED_MIN:
+            rounded = round_solution(s_matrix, p, window, trials=200, seed=0)
+            assert rounded.s.shape == (m,)
+        else:
+            with pytest.raises(ValueError, match="S must be positive definite"):
+                round_solution(s_matrix, p, window, trials=200, seed=0)
+        assert draw_threads() == []
+
+    def test_pick_does_not_move_with_roundoff_in_s(self):
+        # ROADMAP D6: the S of large-m's M=256 rectangular design has
+        # clusters of near-equal eigenvalues, inside which eigh's basis is
+        # arbitrary, and there perturbations like these moved the pick in
+        # 10 of 10 draws; the Cholesky factor is a continuous function of S
+        m = 256
+        spec = NullSpec(k0=4, nulls=((0.8 * np.pi, 2),))
+        p, window, _, s_matrix = make_case(m, spec, "rectangular")
+        rounded = round_solution(s_matrix, p, window, trials=1000, seed=1)
+        assert not rounded.used_rank1_shortcut
+        assert not rounded.clamped_eigenvalues
+        for draw in range(10):
+            e = np.random.default_rng(draw).standard_normal((m, m))
+            e = e + e.T
+            e = 1e-14 * (e + e[::-1, ::-1]) / 2
+            moved = round_solution(s_matrix + e, p, window, trials=1000, seed=1)
+            assert np.array_equal(moved.s, rounded.s), draw
 
 
 class TestRecoverAmplitudes:
