@@ -319,6 +319,8 @@ def design_nm_drcw(
         raise ValueError(f"pulse count must be >= 2, got {m}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if window.m != m:
         raise ValueError(f"window length {window.m} does not match pulse count {m}")
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -234,6 +235,19 @@ class TestDesignCommand:
         )
         assert code == 2
         assert "trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("design", "nm"), ("table",)], ids=" ".join)
+    def test_zero_max_iter_is_a_usage_error_before_any_design_work(
+        self, command, monkeypatch, capsys
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("design work ran before max_iter was checked")
+
+        monkeypatch.setattr("drcw.design.constraint_basis", never)
+        code = run_cli(*command, "--m", "16", "--k0", "3", "--max-iter", "0")
+        assert code == 2
+        assert "max_iter must be >= 1, got 0" in capsys.readouterr().err
+        assert [t.name for t in threading.enumerate() if t.name.startswith("drcw-")] == []
 
     @pytest.mark.parametrize(
         "argv",

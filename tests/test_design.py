@@ -690,6 +690,38 @@ class TestDesignNmDrcw:
             design_nm_drcw(10, NullSpec(k0=2), window_template("hamming", 9))
 
 
+class TestStageStartGuess:
+    """Designs whose relaxation accepts the solver's stage-start guess (few
+    nulls, K about M/20) keep the design invariants; the D2 stall, where the
+    guess is refused, still fails."""
+
+    @pytest.mark.parametrize("kind", ["hamming", "rectangular"])
+    @pytest.mark.parametrize("m,k0", [(64, 3), (128, 6), (192, 10)])
+    def test_design_invariants(self, monkeypatch, m, k0, kind):
+        accepted = []
+        guess = sdp._extrapolated_start
+
+        def spy(*args):
+            out = guess(*args)
+            accepted.append(out is not None)
+            return out
+
+        monkeypatch.setattr(sdp, "_extrapolated_start", spy)
+        spec, window = NullSpec(k0=k0), window_template(kind, m)
+        # design_nm_drcw raises SolverFailure unless the relaxation converged
+        result = design_nm_drcw(m, spec, window, trials=200, seed=5)
+        assert any(accepted)
+        assert result.rounded_objective <= result.sdp_bound
+        assert max_null_violation(result.y, spec) <= 1e-8 * m
+        again = design_nm_drcw(m, spec, window, trials=200, seed=5)
+        assert design_bytes(again) == design_bytes(result)
+        assert again.sdp_bound == result.sdp_bound
+
+    def test_d2_stall_still_fails(self):
+        with pytest.raises(SolverFailure, match="did not converge"):
+            design_nm_drcw(96, NullSpec(k0=28), window_template("rectangular", 96), trials=200)
+
+
 class TestBaselines:
     def test_bd_is_binomial_expansion(self):
         result = design_bd(4)

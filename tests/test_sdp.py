@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import signal
@@ -422,27 +423,48 @@ class TestStepCertificates:
         assert_same_solution(solve_partition_sdp(form, max_iter=max_iter), plain)
 
     def test_no_failed_factorization_at_m256(self, monkeypatch):
+        # no Newton trial fails to factor; only a stage-start guess may, and
+        # there is at most one guess per stage
         form = quadratic_form(
             constraint_basis(NullSpec(k0=8), 256), window_template("hamming", 256)
         )
-        calls, raised = [], []
+        calls, raised, guesses = [], [], []
+        guessing = [False]
         cholesky = np.linalg.cholesky
+        guess = sdp._extrapolated_start
 
         def spy(a):
             calls.append(a.shape)
             try:
                 return cholesky(a)
             except np.linalg.LinAlgError:
-                raised.append(a.shape)
+                raised.append(guessing[0])
                 raise
 
+        def spy_guess(pool, stacks, u, centre, mu):
+            guessing[0] = True
+            try:
+                out = guess(pool, stacks, u, centre, mu)
+            finally:
+                guessing[0] = False
+            guesses.append((u, centre, out is not None))
+            return out
+
         monkeypatch.setattr(np.linalg, "cholesky", spy)
+        monkeypatch.setattr(sdp, "_extrapolated_start", spy_guess)
         sol = solve_partition_sdp(form)
         assert sol.converged
-        assert raised == []
-        # the initial factors plus one per accepted step, each time one per
-        # reversal block
-        assert calls == [(128, 128)] * (2 * (sol.iterations + 1))
+        assert all(raised)
+        refused = sum(not ok for *_, ok in guesses)
+        assert len(raised) <= 2 * refused
+        # the centre each guess extrapolates from is the u of the guess
+        # before it: one guess per stage
+        assert all(
+            prev_u is centre for (prev_u, *_), (_, centre, _) in zip(guesses, guesses[1:])
+        )
+        # the initial factors, one per iteration (accepted guesses included)
+        # and one per refused guess, each time one per reversal block
+        assert calls == [(128, 128)] * (2 * (sol.iterations + 1 + refused))
 
 
 def hamming_form(m, spec):
@@ -676,6 +698,103 @@ class TestPairedBlocks:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         assert got == expected
+
+
+def no_guess(pool, stacks, u, centre, mu):
+    return None
+
+
+def record_calls(monkeypatch, *names):
+    """(name, returned something) for each call of the named sdp helpers in
+    the next solves, in call order."""
+    calls = []
+
+    def spy(name):
+        work = getattr(sdp, name)
+
+        def call(*args):
+            out = work(*args)
+            calls.append((name, out is not None))
+            return out
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(sdp, name, spy(name))
+    return calls
+
+
+def unguessed(monkeypatch, form, **kwargs):
+    with monkeypatch.context() as mp:
+        mp.setattr(sdp, "_extrapolated_start", no_guess)
+        return solve_partition_sdp(form, **kwargs)
+
+
+class TestStageStartGuess:
+    """From the third barrier stage on, the solve tries the extrapolated
+    centre u + (u - centre)/mu as the stage's start."""
+
+    REFUSED = [
+        *((50, w, NullSpec(k0=k0)) for w in ("hamming", "rectangular") for k0 in range(10, 45, 5)),
+        (50, "hamming", NullSpec(k0=20, nulls=((0.8 * np.pi, 4),))),
+        (51, "hamming", NullSpec(k0=9, nulls=((0.3 * np.pi, 2),))),
+        (96, "rectangular", NullSpec(k0=28)),  # a D2 stall (ROADMAP)
+    ]
+
+    @pytest.mark.parametrize(
+        "m,window,spec",
+        REFUSED,
+        ids=[f"{m}-{w}-k0={spec.k0}-nulls={len(spec.nulls)}" for m, w, spec in REFUSED],
+    )
+    def test_refused_where_k_over_m_is_large(self, monkeypatch, m, window, spec):
+        # the paper's 14 forms, the other export-verify form, an odd M and
+        # a stall: every guess leaves the cone, and the solve is bit for bit
+        # the unguessed one
+        form = quadratic_form(constraint_basis(spec, m), window_template(window, m))
+        plain = unguessed(monkeypatch, form)
+        guesses = record_calls(monkeypatch, "_extrapolated_start")
+        sol = solve_partition_sdp(form)
+        assert guesses and not any(ok for _, ok in guesses)
+        assert_same_solution(sol, plain)
+        assert sol.converged == (m != 96)
+
+    @pytest.mark.parametrize("m,k0", [(256, 8), (64, 3)])
+    def test_accepted_where_k_is_small(self, monkeypatch, m, k0):
+        form = hamming_form(m, NullSpec(k0=k0))
+        plain = unguessed(monkeypatch, form)
+        guesses = record_calls(monkeypatch, "_extrapolated_start")
+        sol = solve_partition_sdp(form)
+        assert any(ok for _, ok in guesses)
+        assert sol.converged and plain.converged
+        assert sol.dual_bound == pytest.approx(plain.dual_bound, rel=1e-12, abs=0)
+
+    def test_an_accepted_guess_is_an_iteration(self, monkeypatch):
+        # accepted _inverses calls: the start, then one per iteration, the
+        # accepted guesses among them; each iteration has one trace row
+        form = hamming_form(64, NullSpec(k0=3))
+        untraced = solve_partition_sdp(form)
+        calls = record_calls(monkeypatch, "_inverses", "_extrapolated_start")
+        traced = solve_partition_sdp(form, collect_trace=True)
+        assert ("_extrapolated_start", True) in calls
+        assert calls.count(("_inverses", True)) == traced.iterations + 1
+        assert [row[0] for row in traced.trace] == list(range(1, traced.iterations + 1))
+        assert_same_solution(untraced, dataclasses.replace(traced, trace=()))
+
+    def test_an_accepted_guess_uses_up_the_budget(self, monkeypatch):
+        # a budget that ends on the first accepted guess stops the solve
+        # there, with the guess's row last in the trace
+        form = hamming_form(64, NullSpec(k0=3))
+        full = solve_partition_sdp(form, collect_trace=True)
+        with monkeypatch.context() as mp:
+            calls = record_calls(mp, "_inverses", "_extrapolated_start")
+            solve_partition_sdp(form)
+        # the start's inverses, then one per iteration up to the guess's own
+        budget = calls[: calls.index(("_extrapolated_start", True))].count(("_inverses", True)) - 1
+        short = solve_partition_sdp(form, max_iter=budget, collect_trace=True)
+        assert 1 < budget < full.iterations
+        assert not short.converged
+        assert short.iterations == budget
+        assert short.trace == full.trace[:budget]
 
 
 class TestErrorHandling:
