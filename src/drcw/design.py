@@ -115,7 +115,6 @@ class RoundedSolution:
     s: np.ndarray
     objective: float
     used_rank1_shortcut: bool
-    clamped_eigenvalues: bool
 
 
 def round_solution(
@@ -168,7 +167,6 @@ def round_solution(
         w = window.values
         b = w[:, None] * p
         norm_w = float(w @ w)
-        clamped = False
         if M >= 2 * _PAIRED_MIN:
             product = _reversal_product(S)
         else:
@@ -176,15 +174,12 @@ def round_solution(
             lam = lam[::-1]
             vecs = vecs[:, ::-1]
 
-            clamped = bool(lam[-1] < -1e-8 * max(1.0, float(lam[0])))
             tail = float(np.sum(lam[1:]))
             if M == 1 or tail <= 0.0 or float(lam[0]) / tail >= RANK1_RATIO:
                 s = _sign_pm1(vecs[:, 0])
                 proj = b.T @ s
                 obj = norm_w - float(proj @ proj)
-                return RoundedSolution(
-                    s, obj, used_rank1_shortcut=True, clamped_eigenvalues=clamped
-                )
+                return RoundedSolution(s, obj, used_rank1_shortcut=True)
 
             factor_t = (vecs * np.sqrt(np.maximum(lam, 0.0))).T
 
@@ -205,12 +200,7 @@ def round_solution(
             i = int(np.argmax(scores))  # argmax takes the first maximum in the block
             if scores[i] > best_score:  # strict, so an equal later block keeps the pick
                 best, best_score = c[i].astype(np.int64), float(scores[i])
-    return RoundedSolution(
-        s=best,
-        objective=best_score,
-        used_rank1_shortcut=False,
-        clamped_eigenvalues=clamped,
-    )
+    return RoundedSolution(s=best, objective=best_score, used_rank1_shortcut=False)
 
 
 def _reversal_product(S: np.ndarray):
@@ -340,10 +330,6 @@ def design_nm_drcw(
         )
     y = recover_amplitudes(rounded.s, p, window)
 
-    warnings = []
-    if rounded.clamped_eigenvalues:
-        warnings.append("relaxation matrix had eigenvalues clamped to zero for rounding")
-
     result = DesignResult(
         y=y,
         method="nm_drcw",
@@ -353,7 +339,6 @@ def design_nm_drcw(
         trials=trials,
         rounded_objective=rounded.objective,
         sdp_bound=solution.dual_bound,
-        warnings=tuple(warnings),
         solver_trace=solution.trace,
     )
     violation = max_null_violation(y, spec)

@@ -16,8 +16,12 @@ whose Newton machinery is tiny for this constraint structure: with
 Z = Diag(y) - A_tilde, the barrier gradient is t*1 - diag(Z^{-1}) and the
 Hessian is the elementwise square Z^{-1} o Z^{-1}.
 
-Each barrier stage multiplies t by mu = 20 and re-centres by damped Newton
-steps. To first order the central path is y(t) = y* + d/t, so the last two
+Each barrier stage multiplies t by mu = 20 and is centred to completion,
+to a Newton decrement^2 below 1e-9, by full Newton steps, each halved only
+until every block of Z factors; the stages go on until the certified gap
+passes the stopping test. max_iter is the solve's only limit.
+
+To first order the central path is y(t) = y* + d/t, so the last two
 centres u_prev and u predict the next as u + (u - u_prev)/mu, the
 trajectory extrapolation of Fiacco & McCormick's SUMT (1968). From the
 third stage on that guess is factored once: if every block of its Z is
@@ -294,11 +298,13 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
         Symmetric objective matrix. Symmetry deviation beyond
         1e-8 * ||A_tilde|| is rejected.
     max_iter : int
-        Budget of iterations: Newton steps, and the stage-start guesses of
-        the module docstring that are accepted. On exhaustion the best
-        iterate is returned with ``converged`` False; otherwise the
-        certified duality gap is at most _TOL = 1e-6 times the problem
-        scale.
+        The solve's only budget, of iterations: Newton steps, and the
+        stage-start guesses of the module docstring that are accepted.
+        Every stage is centred to decrement^2 < 1e-9 however many steps
+        that takes, and stages go on until the gap test passes, unless the
+        budget ends first. On exhaustion the last iterate is returned with
+        ``converged`` False; otherwise the certified duality gap is at most
+        _TOL = 1e-6 times the problem scale.
 
     The returned matrix has exactly unit diagonal (always rescaled at the
     end) and is positive definite up to roundoff. Identical inputs give
@@ -347,19 +353,13 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
     mu = 20.0
     iterations = 0
     trace_rows: list[tuple[int, float, float, float]] = []
-    X = [np.broadcast_to(np.eye(s.shape[-1]), s.shape) for s in stacks]
-    gap = np.inf
-    pobj = 0.0
-    dobj = float(c @ u)
-
-    exhausted = False
     centre = start = None
     with ThreadPoolExecutor(1, thread_name_prefix="drcw-sdp") as pool:
         inverses = _inverses(pool, stacks, u)
         zinv_diag = _diagonal(inverses)
-        for _stage in range(120):
-            # Newton centering at the current t
-            for _ in range(80):
+        while True:
+            # Newton centering at the current t, to completion
+            while True:
                 if start is not None:
                     # the accepted stage-start guess is this stage's first
                     # iterate; no Newton decrement has been taken there
@@ -409,10 +409,9 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
                     X = [w / t for w in inverses]
                     pobj, dobj, gap = pobj_i, dobj_i, dobj_i - pobj_i
                     break
-            if gap <= 0.5 * _TOL * max(scale, abs(pobj)):
-                break
-            if iterations >= max_iter:
-                exhausted = True
+            # each stage takes at least one iteration, so the budget bounds this loop
+            converged = gap <= 0.5 * _TOL * max(scale, abs(pobj))
+            if converged or iterations >= max_iter:
                 break
             t *= mu
             # from the third stage on, try the central path's extrapolation
@@ -434,7 +433,7 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
     np.fill_diagonal(S, 1.0)
     objective = pobj * norm
     dual_bound = dobj * norm
-    converged = (not exhausted) and gap <= _TOL * max(scale, abs(pobj))
+    converged = converged and gap <= _TOL * max(scale, abs(pobj))
     res = SdpResiduals(duality_gap=gap * norm)
     return SdpSolution(
         s_matrix=S,

@@ -222,8 +222,8 @@ class TestDesignCommand:
         assert "solver failure" in capsys.readouterr().err
 
     def test_zero_trials_is_a_usage_error_before_any_solve(self, monkeypatch, capsys):
-        # this spec stalls the relaxation (exit 3), so the input must be
-        # rejected before the basis is built or the solver runs
+        # this large-K/M spec takes the relaxation 161 Newton steps, and the
+        # input must be rejected before the basis is built or the solver runs
         def never(*args, **kwargs):
             raise AssertionError("design work ran before trials were checked")
 

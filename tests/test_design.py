@@ -143,10 +143,14 @@ class TestRoundSolution:
             round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=10, seed=-1)
         assert draw_threads() == []
 
-    def test_clamps_negative_eigenvalues(self):
+    def test_indefinite_s_takes_the_rank1_shortcut(self):
         shat = np.array([[1.0, 1.001], [1.001, 1.0]])  # slightly indefinite
         rounded = round_solution(shat, ALIGN_P, ALIGN_WINDOW, trials=16, seed=0)
-        assert rounded.clamped_eigenvalues or rounded.used_rank1_shortcut
+        # its eigenvalue tail is negative, so no factor of S is drawn from
+        assert rounded.used_rank1_shortcut
+        proj = (ALIGN_WINDOW.values[:, None] * ALIGN_P).T @ rounded.s
+        expected = float(ALIGN_WINDOW.values @ ALIGN_WINDOW.values) - float(proj @ proj)
+        assert rounded.objective == expected
 
     @pytest.mark.parametrize("k0", [10, 25])
     def test_pick_matches_direct_sum_up_to_mirror(self, k0):
@@ -439,7 +443,7 @@ class TestDrawThread:
             design_nm_drcw(*args[:3], trials=args[3])
 
     def stall(self):
-        # a D2 form (ROADMAP) with a budget far below what it needs
+        # a large-K/M form with a budget far below the 161 iterations it needs
         design_nm_drcw(96, NullSpec(k0=28), window_template("rectangular", 96), trials=200,
                        max_iter=30)
 
@@ -558,7 +562,6 @@ class TestCholeskyRounding:
         p, window, _, s_matrix = make_case(m, spec, "rectangular")
         rounded = round_solution(s_matrix, p, window, trials=1000, seed=1)
         assert not rounded.used_rank1_shortcut
-        assert not rounded.clamped_eigenvalues
         for draw in range(10):
             e = np.random.default_rng(draw).standard_normal((m, m))
             e = e + e.T
@@ -692,8 +695,8 @@ class TestDesignNmDrcw:
 
 class TestStageStartGuess:
     """Designs whose relaxation accepts the solver's stage-start guess (few
-    nulls, K about M/20) keep the design invariants; the D2 stall, where the
-    guess is refused, still fails."""
+    nulls, K about M/20) keep the design invariants, and so do the large-K/M
+    forms, where the guess is refused and stages take the most steps."""
 
     @pytest.mark.parametrize("kind", ["hamming", "rectangular"])
     @pytest.mark.parametrize("m,k0", [(64, 3), (128, 6), (192, 10)])
@@ -717,9 +720,25 @@ class TestStageStartGuess:
         assert design_bytes(again) == design_bytes(result)
         assert again.sdp_bound == result.sdp_bound
 
-    def test_d2_stall_still_fails(self):
-        with pytest.raises(SolverFailure, match="did not converge"):
-            design_nm_drcw(96, NullSpec(k0=28), window_template("rectangular", 96), trials=200)
+    @pytest.mark.parametrize(
+        "m,k0,kind",
+        [
+            *((m, round(f * m), w) for m in (96, 128, 192) for f in (0.1, 0.2, 0.3)
+              for w in ("hamming", "rectangular")),
+            (96, 28, "rectangular"),
+            (128, 24, "rectangular"),
+            (128, 54, "rectangular"),
+            (256, 26, "rectangular"),
+        ],
+    )
+    def test_large_k_over_m_converges(self, m, k0, kind):
+        # k0/M from 0.1 to 0.42 at M >= 96: a stage there can need hundreds of
+        # Newton steps, and each is centred to completion before t grows
+        spec = NullSpec(k0=k0)
+        # design_nm_drcw raises SolverFailure unless the relaxation converged
+        result = design_nm_drcw(m, spec, window_template(kind, m), trials=200)
+        assert result.rounded_objective <= result.sdp_bound
+        assert max_null_violation(result.y, spec) <= 1e-8 * m
 
 
 class TestBaselines:

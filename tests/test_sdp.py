@@ -408,7 +408,8 @@ class TestStepCertificates:
         [
             (50, "hamming", NullSpec(k0=20), 5000),
             (51, "hamming", NullSpec(k0=9, nulls=((0.3 * np.pi, 2),)), 5000),
-            (128, "rectangular", NullSpec(k0=24), 150),  # a D2 stall (ROADMAP)
+            # a large-K/M form, budget-limited below the 174 iterations it needs
+            (128, "rectangular", NullSpec(k0=24), 150),
         ],
     )
     def test_diagonal_pre_check_changes_no_iterate(self, monkeypatch, m, window, spec, max_iter):
@@ -542,8 +543,8 @@ class TestPairedBlocks:
 
     @pytest.mark.parametrize("paired_min", [sys.maxsize, 1])
     def test_a_trial_that_does_not_factor_costs_no_inverse(self, monkeypatch, paired_min):
-        # a D2 stall form (ROADMAP) whose step test meets Z(alpha) that
-        # pass the column certificate and still do not factor
+        # a budget-limited solve of a large-K/M form, whose step test meets
+        # Z(alpha) that pass the column certificate and still do not factor
         form = quadratic_form(
             constraint_basis(NullSpec(k0=24), 128), window_template("rectangular", 128)
         )
@@ -738,7 +739,7 @@ class TestStageStartGuess:
         *((50, w, NullSpec(k0=k0)) for w in ("hamming", "rectangular") for k0 in range(10, 45, 5)),
         (50, "hamming", NullSpec(k0=20, nulls=((0.8 * np.pi, 4),))),
         (51, "hamming", NullSpec(k0=9, nulls=((0.3 * np.pi, 2),))),
-        (96, "rectangular", NullSpec(k0=28)),  # a D2 stall (ROADMAP)
+        (96, "rectangular", NullSpec(k0=28)),  # k0/M = 0.3 at M=96
     ]
 
     @pytest.mark.parametrize(
@@ -748,15 +749,15 @@ class TestStageStartGuess:
     )
     def test_refused_where_k_over_m_is_large(self, monkeypatch, m, window, spec):
         # the paper's 14 forms, the other export-verify form, an odd M and
-        # a stall: every guess leaves the cone, and the solve is bit for bit
-        # the unguessed one
+        # a large-K/M form at M=96: every guess leaves the cone, and the
+        # solve is bit for bit the unguessed one
         form = quadratic_form(constraint_basis(spec, m), window_template(window, m))
         plain = unguessed(monkeypatch, form)
         guesses = record_calls(monkeypatch, "_extrapolated_start")
         sol = solve_partition_sdp(form)
         assert guesses and not any(ok for _, ok in guesses)
         assert_same_solution(sol, plain)
-        assert sol.converged == (m != 96)
+        assert sol.converged
 
     @pytest.mark.parametrize("m,k0", [(256, 8), (64, 3)])
     def test_accepted_where_k_is_small(self, monkeypatch, m, k0):
