@@ -77,7 +77,8 @@ class DopplerGrid:
         """Nearest grid index to theta; rejects points off the grid span."""
         idx = int(np.argmin(np.abs(self.points - theta)))
         if abs(self.points[idx] - theta) > 0.5 * self.resolution + 1e-12:
-            raise ValueError(f"theta={theta} lies outside the grid")
+            raise ValueError(f"theta={theta:.6g} lies outside the grid [{self.points[0]:.6g}, "
+                             f"{self.points[-1]:.6g}]; an odd grid size ends at pi")
         return idx
 
 

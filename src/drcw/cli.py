@@ -139,7 +139,7 @@ def _check_pulse_count(m: int) -> None:
         raise ValueError(f"pulse count must be >= 2, got {m}")
 
 
-def _design_from_args(args) -> DesignResult:
+def _design_from_args(args, grid: DopplerGrid) -> DesignResult:
     _check_pulse_count(args.m)
     nulls = tuple(parse_null(t) for t in args.null)
     spec = NullSpec(k0=args.k0, nulls=nulls)
@@ -149,6 +149,9 @@ def _design_from_args(args) -> DesignResult:
                 f"--k0/--null/--trace only apply to the nm method, not {args.method!r}"
             )
         return _BASELINES[args.method](args.m)
+    # even grids end at pi - 2pi/G: a null centre past that is refused before the design
+    for theta, _ in nulls:
+        grid.index_of(theta)
     return design_nm_drcw(
         args.m,
         spec,
@@ -182,7 +185,7 @@ def cmd_design(args) -> int:
     _refuse_missing_dirs(args.out, args.trace)
     pair = generate_golay_pair(args.n)
     grid = DopplerGrid(args.grid)
-    design = _design_from_args(args)
+    design = _design_from_args(args, grid)
     if args.trace:
         rows = design.solver_trace
         text = "iteration,objective,certified_gap,diag_deviation\n" + "".join(

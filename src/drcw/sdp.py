@@ -308,8 +308,8 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
 
     The returned matrix has exactly unit diagonal (always rescaled at the
     end) and is positive definite up to roundoff. Identical inputs give
-    identical outputs under the same BLAS thread count; from M = 255 up,
-    the bits depend on that count.
+    identical outputs under the same BLAS thread count; across counts the
+    bits can differ, as README measures from M = 192 up.
 
     Each Newton step costs one ceil(M/2) solve (M for a form that is not
     reversal-symmetric) and one Cholesky factor per stack of equal-size
@@ -368,13 +368,11 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
                     decrement2 = np.inf
                 else:
                     g = t * c - zinv_diag
-                    # the blocks' squares added as slabs: a sum over the stack's
-                    # first axis took 1.8x as long at 256 rows per block
+                    # positive definite by the Schur product theorem; the blocks'
+                    # squares added as slabs: a sum over the stack's first axis
+                    # took 1.8x as long at 256 rows per block
                     H = _padded_sum([sq for w in inverses for sq in w * w])
-                    try:
-                        du = -np.linalg.solve(H, g)
-                    except np.linalg.LinAlgError:
-                        du = -np.linalg.solve(H + 1e-14 * np.eye(len(c)), g)
+                    du = -np.linalg.solve(H, g)
                     decrement2 = float(-g @ du)
                     zinv_min = float((zinv_diag / c).min())
                     step = 1.0

@@ -213,6 +213,26 @@ class TestDesignCommand:
         # /dev/null is not a regular file, so it is written but never cut
         assert run_cli("design", "uniform", "--m", "8", "--grid", "128", "-o", os.devnull) == 0
 
+    def test_null_past_the_grids_last_point_is_refused_before_the_design(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        # 0.9999pi lies inside (0, pi), but past pi - 2pi/8192, the last point
+        # of the default grid, on which the metrics look the centre up
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before the null was found on the grid")
+
+        out = tmp_path / "d.json"
+        argv = ("design", "nm", "--m", "64", "--k0", "4", "--null", "0.9999pi:2", "-o", str(out))
+        with monkeypatch.context() as mp:
+            mp.setattr("drcw.cli.design_nm_drcw", never)
+            assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "outside the grid [-3.14159, 3.14083]; an odd grid size ends at pi" in err
+        assert not out.exists()
+        # an odd grid closes at pi
+        assert run_cli(*argv, "--grid", "8193") == 0
+        assert run_cli("verify", str(out)) == 0
+
     def test_solver_budget_exhaustion_exit_code(self, capsys):
         code = run_cli(
             "design", "nm", "--m", "16", "--n", "8", "--k0", "4",

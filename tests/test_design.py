@@ -93,7 +93,6 @@ class TestRoundSolution:
         rounded = round_solution(
             np.outer(s_true, s_true), p, window_template("rectangular", 4), trials=10, seed=0
         )
-        assert rounded.used_rank1_shortcut
         assert np.array_equal(rounded.s, s_true) or np.array_equal(rounded.s, -s_true)
         assert rounded.objective == pytest.approx(3.0, abs=1e-12)
 
@@ -143,14 +142,15 @@ class TestRoundSolution:
             round_solution(np.eye(2), ALIGN_P, ALIGN_WINDOW, trials=10, seed=-1)
         assert draw_threads() == []
 
-    def test_indefinite_s_takes_the_rank1_shortcut(self):
+    def test_indefinite_s_rounds_through_the_clamped_factor(self):
         shat = np.array([[1.0, 1.001], [1.001, 1.0]])  # slightly indefinite
         rounded = round_solution(shat, ALIGN_P, ALIGN_WINDOW, trials=16, seed=0)
-        # its eigenvalue tail is negative, so no factor of S is drawn from
-        assert rounded.used_rank1_shortcut
+        # the negative eigenvalue is clamped to zero, so every candidate is
+        # +/- the sign pattern of the leading eigenvector (1, 1)
+        assert rounded.s[0] == rounded.s[1]
         proj = (ALIGN_WINDOW.values[:, None] * ALIGN_P).T @ rounded.s
         expected = float(ALIGN_WINDOW.values @ ALIGN_WINDOW.values) - float(proj @ proj)
-        assert rounded.objective == expected
+        assert rounded.objective == expected == 2.0
 
     @pytest.mark.parametrize("k0", [10, 25])
     def test_pick_matches_direct_sum_up_to_mirror(self, k0):
@@ -236,7 +236,7 @@ class TestRoundSolution:
 
 
 def random_relaxation(m, seed=0):
-    """A unit-diagonal S of rank M/2, far from the rank-1 shortcut."""
+    """A unit-diagonal S of rank M/2."""
     g = np.random.default_rng(seed).standard_normal((m, m // 2))
     s_matrix = g @ g.T
     return s_matrix / np.sqrt(np.outer(np.diag(s_matrix), np.diag(s_matrix)))
@@ -260,7 +260,7 @@ def one_shot_round(s_matrix, p, window, trials, seed):
     r V^T for V from eigh below M = 256 and r F^T for the dense Cholesky
     factor ``rounding_factor`` from there on."""
     m = len(s_matrix)
-    if m >= 2 * sdp._PAIRED_MIN:
+    if m >= design._CHOLESKY_MIN_M:
         factor_t = rounding_factor(s_matrix).T
     else:
         lam, vecs = np.linalg.eigh(s_matrix)
@@ -360,7 +360,7 @@ class TestDrawThread:
         }[case]
         p = constraint_basis(NullSpec(k0=8), m)
         window = window_template("hamming", m)
-        if m < 2 * sdp._PAIRED_MIN:
+        if m < design._CHOLESKY_MIN_M:
             relaxations = [random_relaxation(m)]
         else:
             relaxations = [gram_relaxation(m, 2 * m, symmetric) for symmetric in (True, False)]
@@ -447,22 +447,6 @@ class TestDrawThread:
         design_nm_drcw(96, NullSpec(k0=28), window_template("rectangular", 96), trials=200,
                        max_iter=30)
 
-    def rank_one(self, monkeypatch):
-        # K = M-1 leaves an S of numerical rank one, shortcut at this ratio
-        shortcuts = []
-        rounding = design.round_solution
-
-        def spy(*args, **kwargs):
-            out = rounding(*args, **kwargs)
-            shortcuts.append(out.used_rank1_shortcut)
-            return out
-
-        with monkeypatch.context() as mp:
-            mp.setattr(design, "RANK1_RATIO", 1.0)
-            mp.setattr(design, "round_solution", spy)
-            design_nm_drcw(12, NullSpec(k0=11), window_template("rectangular", 12), trials=5000)
-        assert shortcuts == [True]
-
     def raising(self, monkeypatch, name, exc):
         def fail(*args, **kwargs):
             raise exc
@@ -488,17 +472,13 @@ class TestDrawThread:
         "draw-fails-first": (ZeroDivisionError, lambda self, mp: self.draw_fails(mp, 1)),
         "draw-fails-past-the-lead": (ZeroDivisionError, lambda self, mp: self.draw_fails(
             mp, lead_blocks(50) + 1)),
-        "rank-one-shortcut": (None, lambda self, mp: self.rank_one(mp)),
     }
 
     @pytest.mark.parametrize("path", sorted(EXITS))
     def test_every_exit_ends_the_draw(self, monkeypatch, fresh_process_design, path):
         expected, run = self.EXITS[path]
-        if expected is None:
+        with pytest.raises(expected):
             run(self, monkeypatch)
-        else:
-            with pytest.raises(expected):
-                run(self, monkeypatch)
         assert draw_threads() == []
         assert design_bytes(next_design()) == fresh_process_design
         assert draw_threads() == []
@@ -544,7 +524,7 @@ class TestCholeskyRounding:
         assert np.array_equal(s_matrix, s_matrix[::-1, ::-1]) == symmetric
         p = constraint_basis(NullSpec(k0=8), m)
         window = window_template("hamming", m)
-        if m < 2 * sdp._PAIRED_MIN:
+        if m < design._CHOLESKY_MIN_M:
             rounded = round_solution(s_matrix, p, window, trials=200, seed=0)
             assert rounded.s.shape == (m,)
         else:
@@ -809,6 +789,18 @@ class TestLargeNullOrders:
         result = design_nm_drcw(m, spec, window_template("hamming", m), trials=200, seed=0)
         rem = division_remainder(result.y, spec.k0, spec.nulls)
         assert float(np.max(np.abs(rem))) <= 1e-8 * m
+
+    @pytest.mark.parametrize("kind", ["rectangular", "hamming"])
+    @pytest.mark.parametrize("m", [12, 20, 50])
+    def test_null_order_m_minus_1_rounds_its_rank_one_form(self, m, kind):
+        # K = M-1 leaves one admissible direction q, so A_tilde = (w o q)(w o q)^T
+        # has rank one and a rank-one S attains the relaxation's optimum;
+        # rounding takes the same factor path as at any other K
+        spec = NullSpec(k0=m - 1)
+        result = design_nm_drcw(m, spec, window_template(kind, m), trials=1000, seed=0)
+        assert result.rounded_objective <= result.sdp_bound
+        assert max_null_violation(result.y, spec) <= 1e-8 * m
+        assert [t.name for t in threading.enumerate() if t.name.startswith("drcw-")] == []
 
     @pytest.mark.parametrize(
         "m,spec",
