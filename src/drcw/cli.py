@@ -259,18 +259,19 @@ def _table_rows(args) -> list[dict]:
         for i, entry in enumerate(entries):
             if entry in entries[:i]:
                 raise ValueError(f"{option} entry {entry!r} is repeated")
-    for k0 in k0_values:
-        if k0 > args.m - 1:
-            raise ValueError(f"k0={k0} violates k0 <= m-1 for m={args.m}")
+    specs = [NullSpec(k0=k0) for k0 in k0_values]  # NullSpec refuses a negative k0
+    for spec in specs:
+        if spec.k0 > args.m - 1:
+            raise ValueError(f"k0={spec.k0} violates k0 <= m-1 for m={args.m}")
     pair = generate_golay_pair(args.n)
     grid = DopplerGrid(args.grid)
     templates = [(kind, window_template(kind, args.m)) for kind in windows]
     rows = []
     for kind, window in templates:
-        for k0 in k0_values:
+        for spec in specs:
             design = design_nm_drcw(
                 args.m,
-                NullSpec(k0=k0),
+                spec,
                 window,
                 trials=args.trials,
                 seed=args.seed,
@@ -280,7 +281,7 @@ def _table_rows(args) -> list[dict]:
             rows.append(
                 {
                     "window": kind,
-                    "k0": k0,
+                    "k0": spec.k0,
                     "rsba_halfwidth_over_pi": metrics.rsba[0].half_width / math.pi,
                     "dmbr_percent": metrics.dmbr,
                     "pdsl_db": metrics.pdsl,

@@ -307,21 +307,25 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
         _TOL = 1e-6 times the problem scale.
 
     The returned matrix has exactly unit diagonal (always rescaled at the
-    end) and is positive definite up to roundoff. Identical inputs give
-    identical outputs under the same BLAS thread count; across counts the
-    bits can differ, as README measures from M = 192 up.
+    end) and is positive definite up to roundoff. A converged solve stops at
+    t* = 20^5/rho, rho the spectral radius of An = A_tilde/||A_tilde||_F,
+    and its S is within 1e-7 entrywise of the unit-diagonal rescaling of
+    Z(y*)^{-1}, y* the minimizer of t* sum(y) - log det(Diag(y) - An).
+    Identical inputs give identical outputs under the same BLAS thread
+    count; across counts the bits can differ, as README measures from
+    M = 192 up.
 
     Each Newton step costs one ceil(M/2) solve (M for a form that is not
-    reversal-symmetric) and one Cholesky factor per stack of equal-size
-    blocks of Z = Diag(y) - A_tilde (one stack at even M, two at odd M) at
-    the accepted step, from which Z^{-1} is formed; from M = 256 the two
-    blocks' work runs on two threads, this one and the worker of an
-    executor of this solve's own, which is shut down when the solve returns
-    or raises. The factorization alone accepts a trial step, which the
-    module docstring's O(M) column certificate may reject first. From the
-    third barrier stage on, one more factorization tries the extrapolated
-    centre as the stage's start; where K/M is large it is refused, and the
-    stage starts from the last centre as it would without it.
+    reversal-symmetric) and one Cholesky factor per stack of blocks of
+    Z = Diag(y) - A_tilde at the accepted step, from which Z^{-1} is formed,
+    on two threads from M = 256 (module docstring). The step is halved
+    until the factorization accepts it, which it does: H is positive
+    definite once every block has factored, so the direction is finite; the
+    column certificate holds as the step goes to 0; and a step too small to
+    move u tries the current Z, which has factored. From the third barrier
+    stage on, one more factorization tries the extrapolated centre as the
+    stage's start; where K/M is large it is refused, and the stage starts
+    from the last centre as it would without it.
     """
     A = np.asarray(a_tilde, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -334,9 +338,7 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
         raise ValueError("a_tilde is not symmetric")
 
     if norm == 0.0:
-        s = np.eye(M)
-        res = SdpResiduals(duality_gap=0.0)
-        return SdpSolution(s, 0.0, 0.0, res, iterations=0, converged=True)
+        return SdpSolution(np.eye(M), 0.0, 0.0, SdpResiduals(0.0), iterations=0, converged=True)
 
     # normalized problem: exact scale equivariance of the whole solve
     stacks, shift = _blocks((A + A.T) / (2.0 * norm))
@@ -376,7 +378,7 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
                     decrement2 = float(-g @ du)
                     zinv_min = float((zinv_diag / c).min())
                     step = 1.0
-                    for _bt in range(70):
+                    while True:
                         # the column certificate of the module docstring
                         if (1.0 + step) * zinv_min > step * t:
                             trial = _inverses(pool, stacks, u + step * du)
@@ -384,31 +386,22 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
                                 inverses = trial
                                 break
                         step *= 0.5
-                    else:
-                        # the inverses are still those of the unchanged Z
-                        step = 0.0
                     u = u + step * du
                 iterations += 1
-                # the inverses of the step the factorization accepted: the
-                # primal X_i = Z^{-1}/t below and the next Newton step use them
+                # the inverses of the step the factorization accepted, which
+                # the stage's end values and the next Newton step use
                 zinv_diag = _diagonal(inverses)
-                done = decrement2 < 1e-9 or iterations >= max_iter
-                if collect_trace or done:
-                    # the trace only observes: its values reach the iterate state
-                    # (and so the stopping test) only where an untraced solve
-                    # would compute them too
-                    pobj_i = _inner(stacks, inverses) / t
-                    dobj_i = float(c @ u)
-                    if collect_trace:
-                        diag_res = float(np.max(np.abs(zinv_diag / (c * t) - 1.0)))
-                        gap_i = (dobj_i - pobj_i) * norm
-                        trace_rows.append((iterations, pobj_i * norm, gap_i, diag_res))
-                if done:
-                    X = [w / t for w in inverses]
-                    pobj, dobj, gap = pobj_i, dobj_i, dobj_i - pobj_i
+                if collect_trace:
+                    # the trace only observes: none of its values reaches the iterate
+                    p = _inner(stacks, inverses) / t
+                    diag_res = float(np.max(np.abs(zinv_diag / (c * t) - 1.0)))
+                    trace_rows.append((iterations, p * norm, (float(c @ u) - p) * norm, diag_res))
+                if decrement2 < 1e-9 or iterations >= max_iter:
                     break
+            pobj = _inner(stacks, inverses) / t
+            dobj = float(c @ u)
             # each stage takes at least one iteration, so the budget bounds this loop
-            converged = gap <= 0.5 * _TOL * max(scale, abs(pobj))
+            converged = dobj - pobj <= 0.5 * _TOL * max(scale, abs(pobj))
             if converged or iterations >= max_iter:
                 break
             t *= mu
@@ -417,6 +410,7 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
                 start = _extrapolated_start(pool, stacks, u, centre, mu)
             centre = u
 
+    X = [w / t for w in inverses]
     # exact unit diagonal; a congruence with a positive diagonal matrix
     # preserves positive definiteness, and a reversal-symmetric one acts on
     # each block by its leading corner
@@ -429,15 +423,12 @@ def solve_partition_sdp(a_tilde, max_iter: int = 5000, collect_trace: bool = Fal
 
     S = _join([x for stack in X for x in stack], M)
     np.fill_diagonal(S, 1.0)
-    objective = pobj * norm
-    dual_bound = dobj * norm
     converged = converged and gap <= _TOL * max(scale, abs(pobj))
-    res = SdpResiduals(duality_gap=gap * norm)
     return SdpSolution(
         s_matrix=S,
-        objective=objective,
-        dual_bound=dual_bound,
-        residuals=res,
+        objective=pobj * norm,
+        dual_bound=dobj * norm,
+        residuals=SdpResiduals(duality_gap=gap * norm),
         iterations=iterations,
         converged=converged,
         trace=tuple(trace_rows),

@@ -294,3 +294,48 @@ def rounding_factor(s_matrix):
     factor[:k, :k] = np.linalg.cholesky(rotated[:k, :k])
     factor[k:, k:] = np.linalg.cholesky(rotated[k:, k:])
     return q @ factor
+
+
+def central_point(a_tilde):
+    """The unit-diagonal rescaling of the central point Z(y*)^{-1}/t* of the
+    relaxation max tr(A_tilde S), diag(S) = 1, S PSD, by a dense M x M
+    barrier: with An = A_tilde/||A_tilde||_F and rho its spectral radius,
+    y* minimizes t* sum(y) - log det(Diag(y) - An) at t* = 20^5/rho.
+    Stages multiply t by 10 from 1/rho, capped at t*; each is centred by
+    damped Newton steps, 1/(1 + lambda) while lambda^2 > 1/4 and halved until
+    Z factors, to lambda^2 < 1e-6. The last stage goes on to lambda^2 <
+    1e-16, or until a step no longer lowers lambda^2: float64's floor, up
+    to 6e-14 on the forms of tests/test_sdp.py."""
+    an = np.asarray(a_tilde, dtype=float) / np.linalg.norm(a_tilde)
+    m = an.shape[0]
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(an))))
+    t_star = 20.0**5 / rho
+    y = np.full(m, rho + 1.0)
+    t = 1.0 / rho
+    while True:
+        t = min(t, t_star)
+        tol = 1e-16 if t == t_star else 1e-6
+        floor = math.inf
+        for _ in range(500):
+            z_inv = np.linalg.inv(np.diag(y) - an)
+            grad = t - np.diag(z_inv)
+            dy = -np.linalg.solve(z_inv * z_inv, grad)
+            lam2 = float(-grad @ dy)
+            if lam2 < tol or lam2 >= floor:
+                break
+            if t == t_star and lam2 < 1e-6:
+                floor = lam2
+            step = 1.0 / (1.0 + math.sqrt(lam2)) if lam2 > 0.25 else 1.0
+            while True:
+                try:
+                    np.linalg.cholesky(np.diag(y + step * dy) - an)
+                    break
+                except np.linalg.LinAlgError:
+                    step /= 2.0
+            y = y + step * dy
+        else:
+            raise AssertionError(f"the oracle's stage at t={t} did not centre")
+        if t == t_star:
+            d = 1.0 / np.sqrt(np.diag(z_inv))
+            return z_inv * np.outer(d, d)
+        t *= 10.0

@@ -478,6 +478,16 @@ class TestTableCommand:
     def test_k0_budget_checked(self):
         assert run_cli("table", "--k0", "12", "--m", "10", "--grid", "128") == 2
 
+    @pytest.mark.parametrize("k0", ["-5", "10,20,30,40,-5"])
+    def test_negative_k0_is_refused_before_any_design(self, monkeypatch, capsys, k0):
+        # a negative entry after valid ones is refused before the first cell
+        def never(*args, **kwargs):
+            raise AssertionError("a design ran before --k0 was checked")
+
+        monkeypatch.setattr("drcw.cli.design_nm_drcw", never)
+        assert run_cli("table", "--k0", k0, "--m", "128", "--trials", "2000") == 2
+        assert "k0 must be a nonnegative integer, got -5" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_golay_pass(self, capsys):

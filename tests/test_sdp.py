@@ -20,7 +20,12 @@ from drcw.sdp import (
     solve_partition_sdp,
 )
 from drcw.sequences import window_template
-from oracles import brute_force_partition_max, diagonal_certificate, inverses_per_block
+from oracles import (
+    brute_force_partition_max,
+    central_point,
+    diagonal_certificate,
+    inverses_per_block,
+)
 
 
 def random_instance(rng, m):
@@ -423,6 +428,22 @@ class TestStepCertificates:
         monkeypatch.setattr(sdp, "_inverses", pre_checked)
         assert_same_solution(solve_partition_sdp(form, max_iter=max_iter), plain)
 
+    def test_the_step_search_has_no_cap(self, monkeypatch):
+        # the trials that follow the start's factorization are refused 75
+        # times: the search halves on, and its 76th trial is accepted
+        inverses = sdp._inverses
+        calls = []
+
+        def refusing(pool, stacks, u):
+            out = None if 1 <= len(calls) <= 75 else inverses(pool, stacks, u)
+            calls.append(out is not None)
+            return out
+
+        monkeypatch.setattr(sdp, "_inverses", refusing)
+        sol = solve_partition_sdp(hamming_form(50, NullSpec(k0=20)), max_iter=1)
+        assert calls == [True] + [False] * 75 + [True]
+        assert sol.iterations == 1
+
     def test_no_failed_factorization_at_m256(self, monkeypatch):
         # no Newton trial fails to factor; only a stage-start guess may, and
         # there is at most one guess per stage
@@ -472,10 +493,10 @@ def hamming_form(m, spec):
     return quadratic_form(constraint_basis(spec, m), window_template("hamming", m))
 
 
-def one_block_form():
-    """An M=256 form whose reversal asymmetry is far above the split
-    tolerance, so it is solved as one block."""
-    form = hamming_form(256, NullSpec(k0=8))
+def one_block_form(m=256, k0=8):
+    """An M-pulse hamming form whose reversal asymmetry is far above the
+    split tolerance, so it is solved as one block."""
+    form = hamming_form(m, NullSpec(k0=k0))
     e = np.random.default_rng(5).standard_normal(form.shape)
     return form + 1e-6 * np.linalg.norm(form) * (e + e.T)
 
@@ -796,6 +817,39 @@ class TestStageStartGuess:
         assert not short.converged
         assert short.iterations == budget
         assert short.trace == full.trace[:budget]
+
+
+class TestCentralPoint:
+    """A converged solve stops at t* = 20^5/rho, and its S is the
+    unit-diagonal rescaling of the central point there, as the dense barrier
+    of tests/oracles.py computes it without reversal blocks or threads."""
+
+    FORMS = [
+        *((50, w, NullSpec(k0=k0)) for w in ("hamming", "rectangular") for k0 in range(10, 45, 5)),
+        (51, "hamming", NullSpec(k0=9, nulls=((0.3 * np.pi, 2),))),
+        (128, "one-block", NullSpec(k0=12)),
+        (256, "hamming", NullSpec(k0=8)),
+        (96, "rectangular", NullSpec(k0=28)),
+    ]
+
+    @pytest.mark.parametrize(
+        "m,window,spec",
+        FORMS,
+        ids=[f"{m}-{w}-k0={spec.k0}-nulls={len(spec.nulls)}" for m, w, spec in FORMS],
+    )
+    def test_s_is_the_central_point_at_t_star(self, m, window, spec):
+        if window == "one-block":
+            form = one_block_form(m, spec.k0)
+        else:
+            form = quadratic_form(constraint_basis(spec, m), window_template(window, m))
+        sol = solve_partition_sdp(form, collect_trace=True)
+        assert sol.converged
+        assert np.max(np.abs(sol.s_matrix - central_point(form))) <= 1e-7
+        # at a centred point the normalized gap is M/t
+        norm = np.linalg.norm(form)
+        t = m * norm / sol.trace[-1][2]
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(form / norm))))
+        assert abs(t * rho / 20.0**5 - 1.0) <= 1e-2
 
 
 class TestErrorHandling:
