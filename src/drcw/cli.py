@@ -364,7 +364,7 @@ def _verify_document(path: str, check) -> None:
     )
 
     obj, bound = design.rounded_objective, design.sdp_bound
-    if obj is not None and bound is not None:
+    if bound is not None:  # a design with a solver record
         check(
             "rounded objective within relaxation bound",
             obj <= bound + 1e-6 * max(1.0, abs(bound)),

@@ -259,7 +259,6 @@ class DesignResult:
     trials: int | None = None
     rounded_objective: float | None = None
     sdp_bound: float | None = None
-    warnings: tuple[str, ...] = ()
     solver_trace: tuple[tuple[int, float, float, float], ...] = field(default=(), repr=False)
 
     @property
@@ -327,7 +326,8 @@ def design_nm_drcw(
         seed=seed,
         trials=trials,
         rounded_objective=rounded.objective,
-        sdp_bound=solution.dual_bound,
+        # every sign vector scores at most ||w||^2, as round_solution computes it
+        sdp_bound=min(solution.dual_bound, float(window.values @ window.values)),
         solver_trace=solution.trace,
     )
     violation = max_null_violation(y, spec)

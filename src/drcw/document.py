@@ -47,7 +47,7 @@ from .design import DesignResult
 from .nullspec import NullSpec
 from .sequences import WINDOW_KINDS
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
@@ -86,7 +86,6 @@ def build_document(
         "w": design.weights.astype(float).tolist(),
         "objective": None if design.rounded_objective is None else float(design.rounded_objective),
         "sdp_bound": None if design.sdp_bound is None else float(design.sdp_bound),
-        "warnings": list(design.warnings),
         "metrics": metrics_to_dict(metrics),
     }
 
@@ -210,10 +209,6 @@ def _is_number(value) -> bool:
     return type(value) is float or (type(value) is int and abs(value) <= sys.float_info.max)
 
 
-def _is_optional(ok):
-    return lambda value: value is None or ok(value)
-
-
 def _list_of(ok):
     return lambda value: type(value) is list and all(ok(v) for v in value)
 
@@ -253,8 +248,9 @@ def document_to_design(doc) -> DesignResult:
     This is what makes a document valid. Every field that
     ``build_document`` writes is read and checked for type and value, the
     metrics too, and the first field that is missing or wrong raises
-    ValueError naming it. ``window``, ``seed``, ``trials``, ``objective``
-    and ``sdp_bound`` are null for designs that have none.
+    ValueError naming it. The solver's record ``window``, ``seed``,
+    ``trials``, ``objective``, ``sdp_bound`` is all set (an nm design) or
+    all null (a baseline).
     """
     if not _is_object(doc):
         raise ValueError("design document must be a JSON object")
@@ -278,19 +274,23 @@ def document_to_design(doc) -> DesignResult:
             f"design document field 'null_spec' must ask for a null order "
             f"K = k0 + 2 sum(k_i) <= m - 1 = {m - 1}"
         )
-    window = _field(doc, "window", "a window kind or null", _is_optional(WINDOW_KINDS.__contains__))
-    seed = _field(doc, "seed", "an integer or null", _is_optional(_is_int))
-    positive = _is_optional(lambda v: _is_int(v) and v >= 1)
-    trials = _field(doc, "trials", "an integer >= 1 or null", positive)
+    solver = {
+        name: _field(doc, name, f"{what} or null", lambda v: v is None or ok(v))
+        for name, what, ok in [
+            ("window", "a window kind", WINDOW_KINDS.__contains__),
+            ("seed", "an integer", _is_int),
+            ("trials", "an integer >= 1", lambda v: _is_int(v) and v >= 1),
+            ("objective", "a number", _is_number),
+            ("sdp_bound", "a number", _is_number),
+        ]
+    }
+    if len({v is None for v in solver.values()}) == 2:  # part set, part null
+        raise ValueError(f"design document fields {', '.join(solver)} must be all set or all null")
     s = _field(doc, "s", "a list of +1/-1", _numbers(lambda v: set(map(abs, v)) <= {1}))
     # 0.0 <= v fails for NaN, as v >= 0 does
     w = _field(doc, "w", "a list of numbers >= 0", _numbers(lambda v: all(map(0.0.__le__, v))))
     if len(s) != m or len(w) != m:
         raise ValueError(f"design document fields 's' and 'w' must each have m = {m} entries")
-    optional = "a number or null"
-    objective = _field(doc, "objective", optional, _is_optional(_is_number))
-    bound = _field(doc, "sdp_bound", optional, _is_optional(_is_number))
-    warnings = _field(doc, "warnings", "a list of strings", _list_of(lambda v: type(v) is str))
     metrics = _field(doc, "metrics", "an object", _is_object)
     per_centre = f"a list of {1 + len(nulls)} {{center, lo, hi}}, one per null centre"
     _field(metrics, "metrics.rsba", per_centre, _sized(_list_of(_is_interval), 1 + len(nulls)))
@@ -302,12 +302,11 @@ def document_to_design(doc) -> DesignResult:
         y=np.array(s, dtype=float) * np.array(w, dtype=float),
         method=method,
         null_spec=spec,
-        window_kind=window,
-        seed=seed,
-        trials=trials,
-        rounded_objective=objective,
-        sdp_bound=bound,
-        warnings=tuple(warnings),
+        window_kind=solver["window"],
+        seed=solver["seed"],
+        trials=solver["trials"],
+        rounded_objective=solver["objective"],
+        sdp_bound=solver["sdp_bound"],
     )
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 WINDOW_KINDS = ("rectangular", "hamming", "hanning", "blackman")
+_MAX_PAIR_LENGTH = 1 << 16  # GolayPair's exact check is O(N^2): seconds at 2^16
 
 
 def _as_pm1(seq, name: str = "sequence") -> np.ndarray:
@@ -98,10 +99,10 @@ def generate_golay_pair(n: int) -> GolayPair:
     """Deterministic complementary pair of power-of-two length.
 
     Starts from ([1], [1]) and doubles via (a, b) -> (a||b, a||-b), where
-    || is concatenation. Covers every n = 2^p, p >= 0.
+    || is concatenation. Covers every n = 2^p, 0 <= p <= 16.
     """
-    if not _is_power_of_two(n):
-        raise ValueError(f"pair length must be a power of two, got {n}")
+    if not _is_power_of_two(n) or n > _MAX_PAIR_LENGTH:
+        raise ValueError(f"pair length must be a power of two <= {_MAX_PAIR_LENGTH}, got {n}")
     a = np.array([1], dtype=np.int64)
     b = np.array([1], dtype=np.int64)
     while len(a) < n:

@@ -388,13 +388,16 @@ class TestAnalyzeCommand:
         assert run_cli("verify", str(v2)) == 2
         assert "unsupported schema_version 2" in capsys.readouterr().err
         # version 3 documents carry curves from the complex FFT, whose
-        # deepest nulls differ from the real FFT's by up to 1.9e-6 dB
-        old["schema_version"] = 3
-        v3 = tmp_path / "v3.json"
-        v3.write_text(json.dumps(old))
-        for command in ("analyze", "verify"):
-            assert run_cli(command, str(v3)) == 2
-            assert "unsupported schema_version 3; expected 4" in capsys.readouterr().err
+        # deepest nulls differ from the real FFT's by up to 1.9e-6 dB;
+        # version 4 documents carry an always-empty warnings list and a
+        # bound that can exceed ||w||^2
+        for version in (3, 4):
+            path = tmp_path / f"v{version}.json"
+            path.write_text(json.dumps(dict(old, schema_version=version, warnings=[])))
+            for command in ("analyze", "verify"):
+                assert run_cli(command, str(path)) == 2
+                err = capsys.readouterr().err
+                assert f"unsupported schema_version {version}; expected 5" in err
 
 
 class TestTableCommand:
@@ -496,6 +499,26 @@ class TestVerifyCommand:
 
     def test_golay_bad_length_usage_error(self):
         assert run_cli("verify", "--golay", "63") == 2
+
+    def test_golay_past_the_longest_pair_usage_error(self, capsys):
+        assert run_cli("verify", "--golay", str(1 << 17)) == 2
+        assert "power of two <= 65536, got 131072" in capsys.readouterr().err
+
+    # each method's document, at an even and an odd M where the method has one
+    @pytest.mark.parametrize(
+        "method,m", [("nm", 12), ("nm", 13), ("bd", 10), ("bd", 11), ("ptm", 8),
+                     ("uniform", 10), ("uniform", 11)],
+    )
+    def test_every_method_loads_and_verifies(self, tmp_path, capsys, method, m):
+        out = tmp_path / "d.json"
+        options = ["--k0", "3", "--window", "hamming", "--trials", "50"] if method == "nm" else []
+        argv = ["design", method, "--m", str(m), "--n", "8", "--grid", "256", "-o", str(out)]
+        assert run_cli(*argv, *options) == 0
+        capsys.readouterr()
+        assert run_cli("verify", str(out)) == 0
+        report = capsys.readouterr().out
+        assert ("ok: rounded objective within relaxation bound" in report) == (method == "nm")
+        assert run_cli("analyze", str(out), "--out-dir", str(tmp_path / "a")) == 0
 
     def test_document_pass(self, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -653,7 +676,6 @@ class TestMalformedDocument:
         ("w", [5, "x", ["x"], None]),
         ("objective", ["x", [1.0], True]),
         ("sdp_bound", ["x", [1.0], True]),
-        ("warnings", [5, "x", [5], None]),
         ("metrics.prsl_curve", [5, "x", ["x"], None]),
         ("metrics.dmbr", [True, "x", [1.0], None]),
         ("metrics.pdsl", [True, "x", [1.0], None]),
@@ -680,6 +702,62 @@ class TestMalformedDocument:
         assert self.run_on(doc, command, tmp_path) == 2
         named = "metrics.rsba" if field.startswith("metrics.rsba") else field
         assert f"'{named}'" in capsys.readouterr().err
+
+    SOLVER_RECORD = ("window", "seed", "trials", "objective", "sdp_bound")
+    MIXED = (
+        "error: design document fields window, seed, trials, objective, sdp_bound "
+        "must be all set or all null\n"
+    )
+
+    @pytest.fixture(scope="class")
+    def baseline(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("malformed") / "bd.json"
+        run_cli("design", "bd", "--m", "20", "--n", "16", "--grid", "256", "-o", str(out))
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("field", SOLVER_RECORD)
+    def test_solver_record_with_one_field_null(self, document, tmp_path, capsys, command, field):
+        doc = dict(document, **{field: None})
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err == self.MIXED
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("window", "hamming"), ("seed", 0), ("trials", 1), ("objective", 1.0),
+         ("sdp_bound", 20.0)],
+    )
+    def test_solver_record_with_one_field_set(self, baseline, tmp_path, capsys, command, field,
+                                              value):
+        doc = dict(baseline, **{field: value})
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err == self.MIXED
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_objective_without_a_bound(self, document, tmp_path, capsys, command):
+        # the bound check cannot be skipped by leaving the bound out
+        doc = dict(document, objective=1e9, sdp_bound=None)
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert capsys.readouterr().err == self.MIXED
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("field", SOLVER_RECORD)
+    @pytest.mark.parametrize("source", ["nm", "bd"])
+    def test_solver_record_missing_a_field(self, document, baseline, tmp_path, capsys, command,
+                                           field, source):
+        doc = dict(document if source == "nm" else baseline)
+        del doc[field]
+        assert self.run_on(doc, command, tmp_path) == 2
+        assert f"missing field '{field}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_pair_length_past_the_longest_pair(self, document, tmp_path, capsys, command):
+        # refused before the pair is built, which would exhaust memory
+        doc = dict(document, n=2**40)
+        assert self.run_on(doc, command, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"pair length must be a power of two <= 65536, got {2**40}" in err
 
     @pytest.mark.parametrize("command", ["verify", "analyze"])
     @pytest.mark.parametrize(

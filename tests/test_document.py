@@ -212,7 +212,18 @@ class TestDocumentRoundTrip:
             got, want = getattr(back, name), getattr(d, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
         assert back.null_spec == d.null_spec
-        assert (back.method, back.seed, back.trials) == (d.method, d.seed, d.trials)
+        solver = ("window_kind", "seed", "trials", "rounded_objective", "sdp_bound")
+        assert [getattr(back, f) for f in ("method", *solver)] == [
+            getattr(d, f) for f in ("method", *solver)
+        ]
+
+    @MAKE_DESIGN
+    def test_solver_record_is_all_set_or_all_null(self, make):
+        d = make()
+        doc = document_of(d)
+        assert doc["schema_version"] == 5 and "warnings" not in doc
+        record = [doc[k] for k in ("window", "seed", "trials", "objective", "sdp_bound")]
+        assert None not in record if d.method == "nm_drcw" else record == [None] * 5
 
 
 class TestDocumentEncoding:

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestGolayPair:
     def test_rejects_non_power_of_two(self, n):
         with pytest.raises(ValueError, match="power of two"):
             generate_golay_pair(n)
+
+    @pytest.mark.parametrize("n", [1 << 17, 2**40])
+    def test_rejects_a_pair_past_65536_before_building_it(self, n):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"power of two <= 65536, got {n}"):
+            generate_golay_pair(n)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestAcf:
